@@ -7,10 +7,11 @@ strengthening with three nested condition families, one per strategic
 operator.  Relations are sets of ordered state pairs over one model;
 to relate states of two models, take their disjoint union first.
 
-Every "Back" condition is the corresponding "Forth" with the roles of
-the two states exchanged; the relation itself keeps its orientation
-relative to the checked pair, which is what makes non-symmetric
-relations (such as the diagonal between two embedded models) usable.
+Every "Back" condition at a pair (s, t) is the corresponding "Forth"
+condition at the swapped pair (t, s) under the inverse relation, so each
+clause is written once; taking the inverse rather than assuming symmetry
+is what makes non-symmetric relations (such as the diagonal between two
+embedded models) usable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, or_
-from .model import Coalition, GameModel, InputError, State
+from .model import Coalition, GameModel, InputError, State, coalitions
 from .semantics import extension_bits, holds, strategic_states_bits
 
 Relation = frozenset
@@ -29,13 +30,11 @@ FAMILY_PROACTIVE = "alpha"
 FAMILY_REACTIVE = "beta"
 ALL_FAMILIES = (FAMILY_COOP, FAMILY_PROACTIVE, FAMILY_REACTIVE)
 
+# (Forth tag, Back tag) per condition family
 _FAMILY_TAGS = {
-    (FAMILY_COOP, False): "A-Forth_c",
-    (FAMILY_COOP, True): "A-Back_c",
-    (FAMILY_PROACTIVE, False): "B-Forth_alpha",
-    (FAMILY_PROACTIVE, True): "B-Back_alpha",
-    (FAMILY_REACTIVE, False): "A-Forth_beta",
-    (FAMILY_REACTIVE, True): "A-Back_beta",
+    FAMILY_COOP: ("A-Forth_c", "A-Back_c"),
+    FAMILY_PROACTIVE: ("B-Forth_alpha", "B-Back_alpha"),
+    FAMILY_REACTIVE: ("A-Forth_beta", "A-Back_beta"),
 }
 
 
@@ -97,213 +96,121 @@ def _check_relation(model: GameModel, relation) -> list[tuple[State, State]]:
     return pairs
 
 
-def _label_bits(model: GameModel):
-    sig = {}
-    for i, s in enumerate(model.states):
-        sig[s] = frozenset(a for a, ss in model.valuation.items() if s in ss)
-    return sig
-
-
-def _coalitions(agents) -> tuple[Coalition, ...]:
-    subsets = []
-    for r in range(len(agents) + 1):
-        for combo in itertools.combinations(agents, r):
-            subsets.append(frozenset(combo))
-    return tuple(subsets)
+def _labels(model: GameModel):
+    return {s: frozenset(a for a, ss in model.valuation.items() if s in ss)
+            for s in model.states}
 
 
 def _coalition_pairs(agents, disjoint_only: bool):
     """(A, B) pairs in canonical order; responder overlap with the actor
     is redundant (the clauses only see B through B minus A), so the
     fixpoint loops use disjoint pairs only."""
-    subsets = _coalitions(agents)
-    pairs = []
-    for a in subsets:
-        for b in subsets:
-            if disjoint_only and a & b:
-                continue
-            pairs.append((a, b))
-    return tuple(pairs)
+    subsets = coalitions(agents)
+    return tuple((a, b) for a in subsets for b in subsets
+                 if not (disjoint_only and a & b))
 
 
-class _Matcher:
-    """Per-relation successor matching with memoized set-to-set checks."""
+class _Cover:
+    """Memoized cover check over one row table: x is covered in y when
+    every state of x has a row partner in y."""
 
-    def __init__(self, model: GameModel, relation):
-        n = len(model.states)
-        idx = model.state_index
-        fwd = [0] * n
-        rev = [0] * n
-        for u, v in relation:
-            fwd[idx[u]] |= 1 << idx[v]
-            rev[idx[v]] |= 1 << idx[u]
-        self.fwd = fwd
-        self.rev = rev
-        self._memo_fwd: dict = {}
-        self._memo_rev: dict = {}
+    def __init__(self, rows):
+        self.rows = rows
+        self.memo: dict = {}
 
-    def match_fwd(self, o1: int, o2: int) -> bool:
-        """Every state in o2 (second-state side) is related from some state in o1."""
-        key = (o1, o2)
-        hit = self._memo_fwd.get(key)
+    def check(self, x: int, y: int) -> bool:
+        key = (x, y)
+        hit = self.memo.get(key)
         if hit is None:
             hit = True
-            rev = self.rev
-            m = o2
+            rows = self.rows
+            m = x
             while m:
                 low = m & -m
-                if not (rev[low.bit_length() - 1] & o1):
+                if not (rows[low.bit_length() - 1] & y):
                     hit = False
                     break
                 m ^= low
-            self._memo_fwd[key] = hit
+            self.memo[key] = hit
         return hit
 
-    def match_rev(self, o1: int, o2: int) -> bool:
-        """Every state in o1 (first-state side) is related to some state in o2."""
-        key = (o1, o2)
-        hit = self._memo_rev.get(key)
-        if hit is None:
-            hit = True
-            fwd = self.fwd
-            m = o1
-            while m:
-                low = m & -m
-                if not (fwd[low.bit_length() - 1] & o2):
-                    hit = False
-                    break
-                m ^= low
-            self._memo_rev[key] = hit
-        return hit
+
+def _relation(model: GameModel, pairs):
+    """The relation as the check pair (fwd, rev): fwd(x, y) holds when every
+    state of x has a successor in y, rev(x, y) when every state of x has a
+    predecessor in y.  The inverse relation is (rev, fwd)."""
+    n = len(model.states)
+    idx = model.state_index
+    fwd = [0] * n
+    rev = [0] * n
+    for u, v in pairs:
+        fwd[idx[u]] |= 1 << idx[v]
+        rev[idx[v]] |= 1 << idx[u]
+    return _Cover(fwd).check, _Cover(rev).check
 
 
 # -- clause evaluators ----------------------------------------------------
 #
-# Each returns None when the clause holds, otherwise the joint action on
-# the universally quantified side that cannot be matched.
+# Each is the Forth half of its condition at (s1, s2) under rel = (fwd,
+# rev); the Back half is the same function at (s2, s1) under the inverse
+# (rev, fwd).  Each returns None when the clause holds, otherwise the
+# joint action at s1 that cannot be matched.
 
 
-def _cl_clause(model, matcher, s1, s2, c, swapped):
-    outs1 = model.out_bits_table(s1, c)
+def _cl_clause(model, rel, s1, s2, c):
+    rev = rel[1]
     outs2 = model.out_bits_table(s2, c)
-    if not swapped:
-        for i1, o1 in enumerate(outs1):
-            if not any(matcher.match_fwd(o1, o2) for o2 in outs2):
-                return model.joint_action_table(s1, c)[i1]
-    else:
-        for i2, o2 in enumerate(outs2):
-            if not any(matcher.match_rev(o1, o2) for o1 in outs1):
-                return model.joint_action_table(s2, c)[i2]
+    for i1, o1 in enumerate(model.out_bits_table(s1, c)):
+        if not any(rev(o2, o1) for o2 in outs2):
+            return model.joint_action_table(s1, c)[i1]
     return None
 
 
-def _coop_clause(model, matcher, s1, s2, a, b, swapped):
+def _coop_clause(model, rel, s1, s2, a, b):
+    rev = rel[1]
+    outs2 = model.out_bits_table(s2, a)
+    m1 = model.merged_out_bits(s1, a, b)
+    m2 = model.merged_out_bits(s2, a, b)
+    for ia1, o1 in enumerate(model.out_bits_table(s1, a)):
+        row1 = m1[ia1]
+        for o2, row2 in zip(outs2, m2):
+            if rev(o2, o1) and all(any(rev(y2, y1) for y2 in row2) for y1 in row1):
+                break
+        else:
+            return model.joint_action_table(s1, a)[ia1]
+    return None
+
+
+def _proactive_clause(model, rel, s1, s2, a, b):
+    fwd, rev = rel
     outs1 = model.out_bits_table(s1, a)
     outs2 = model.out_bits_table(s2, a)
     m1 = model.merged_out_bits(s1, a, b)
     m2 = model.merged_out_bits(s2, a, b)
-    nb1 = len(model.joint_action_table(s1, b))
     nb2 = len(model.joint_action_table(s2, b))
-    if not swapped:
-        for ia1, o1 in enumerate(outs1):
-            row1 = m1[ia1]
-            ok = False
-            for ia2, o2 in enumerate(outs2):
-                if not matcher.match_fwd(o1, o2):
-                    continue
-                row2 = m2[ia2]
-                if all(any(matcher.match_fwd(row1[ib1], row2[ib2]) for ib2 in range(nb2))
-                       for ib1 in range(nb1)):
-                    ok = True
-                    break
-            if not ok:
-                return model.joint_action_table(s1, a)[ia1]
-    else:
-        for ia2, o2 in enumerate(outs2):
-            row2 = m2[ia2]
-            ok = False
-            for ia1, o1 in enumerate(outs1):
-                if not matcher.match_rev(o1, o2):
-                    continue
-                row1 = m1[ia1]
-                if all(any(matcher.match_rev(row1[ib1], row2[ib2]) for ib1 in range(nb1))
-                       for ib2 in range(nb2)):
-                    ok = True
-                    break
-            if not ok:
-                return model.joint_action_table(s2, a)[ia2]
-    return None
-
-
-def _proactive_clause(model, matcher, s1, s2, a, b, swapped):
-    outs1 = model.out_bits_table(s1, a)
-    outs2 = model.out_bits_table(s2, a)
-    m1 = model.merged_out_bits(s1, a, b)
-    m2 = model.merged_out_bits(s2, a, b)
-    nb1 = len(model.joint_action_table(s1, b))
-    nb2 = len(model.joint_action_table(s2, b))
-    if not swapped:
-        for ib1 in range(nb1):
-            ok = False
-            for ib2 in range(nb2):
-                if all(any(matcher.match_rev(o1, o2)
-                           and matcher.match_fwd(m1[ia1][ib1], m2[ia2][ib2])
-                           for ia1, o1 in enumerate(outs1))
-                       for ia2, o2 in enumerate(outs2)):
-                    ok = True
-                    break
-            if not ok:
-                return model.joint_action_table(s1, b)[ib1]
-    else:
+    for ib1 in range(len(model.joint_action_table(s1, b))):
         for ib2 in range(nb2):
-            ok = False
-            for ib1 in range(nb1):
-                if all(any(matcher.match_fwd(o1, o2)
-                           and matcher.match_rev(m1[ia1][ib1], m2[ia2][ib2])
-                           for ia2, o2 in enumerate(outs2))
-                       for ia1, o1 in enumerate(outs1)):
-                    ok = True
-                    break
-            if not ok:
-                return model.joint_action_table(s2, b)[ib2]
+            if all(any(fwd(o1, o2) and rev(row2[ib2], row1[ib1])
+                       for o1, row1 in zip(outs1, m1))
+                   for o2, row2 in zip(outs2, m2)):
+                break
+        else:
+            return model.joint_action_table(s1, b)[ib1]
     return None
 
 
-def _reactive_clause(model, matcher, s1, s2, a, b, swapped):
-    outs1 = model.out_bits_table(s1, a)
+def _reactive_clause(model, rel, s1, s2, a, b):
+    fwd, rev = rel
     outs2 = model.out_bits_table(s2, a)
     m1 = model.merged_out_bits(s1, a, b)
     m2 = model.merged_out_bits(s2, a, b)
-    nb1 = len(model.joint_action_table(s1, b))
-    nb2 = len(model.joint_action_table(s2, b))
-    if not swapped:
-        for ia1, o1 in enumerate(outs1):
-            row1 = m1[ia1]
-            ok = False
-            for ia2, o2 in enumerate(outs2):
-                if not matcher.match_fwd(o1, o2):
-                    continue
-                row2 = m2[ia2]
-                if all(any(matcher.match_rev(row1[ib1], row2[ib2]) for ib1 in range(nb1))
-                       for ib2 in range(nb2)):
-                    ok = True
-                    break
-            if not ok:
-                return model.joint_action_table(s1, a)[ia1]
-    else:
-        for ia2, o2 in enumerate(outs2):
-            row2 = m2[ia2]
-            ok = False
-            for ia1, o1 in enumerate(outs1):
-                if not matcher.match_rev(o1, o2):
-                    continue
-                row1 = m1[ia1]
-                if all(any(matcher.match_fwd(row1[ib1], row2[ib2]) for ib2 in range(nb2))
-                       for ib1 in range(nb1)):
-                    ok = True
-                    break
-            if not ok:
-                return model.joint_action_table(s2, a)[ia2]
+    for ia1, o1 in enumerate(model.out_bits_table(s1, a)):
+        row1 = m1[ia1]
+        for o2, row2 in zip(outs2, m2):
+            if rev(o2, o1) and all(any(fwd(y1, y2) for y1 in row1) for y2 in row2):
+                break
+        else:
+            return model.joint_action_table(s1, a)[ia1]
     return None
 
 
@@ -318,7 +225,7 @@ _FAMILY_CLAUSES = {
 
 
 def _atom_check(model, pairs):
-    sig = _label_bits(model)
+    sig = _labels(model)
     for s, t in pairs:
         if sig[s] != sig[t]:
             return BisimFailure((s, t), "AtomEq")
@@ -331,11 +238,12 @@ def check_cl_bisim(model: GameModel, relation) -> BisimVerdict:
     bad = _atom_check(model, pairs)
     if bad is not None:
         return BisimVerdict(False, bad)
-    matcher = _Matcher(model, pairs)
+    rel = _relation(model, pairs)
+    inv = rel[::-1]
     for s, t in pairs:
-        for c in _coalitions(model.agents):
-            for swapped, tag in ((False, "Forth"), (True, "Back")):
-                witness = _cl_clause(model, matcher, s, t, c, swapped)
+        for c in coalitions(model.agents):
+            for tag, x, y, r in zip(("Forth", "Back"), (s, t), (t, s), (rel, inv)):
+                witness = _cl_clause(model, r, x, y, c)
                 if witness is not None:
                     return BisimVerdict(False, BisimFailure(
                         (s, t), tag, coalition_a=c, witness=str(witness)))
@@ -357,18 +265,20 @@ def check_constr_bisim(model: GameModel, relation,
     bad = _atom_check(model, pairs)
     if bad is not None:
         return BisimVerdict(False, bad)
-    matcher = _Matcher(model, pairs)
+    rel = _relation(model, pairs)
+    inv = rel[::-1]
     coalition_pairs = _coalition_pairs(model.agents, disjoint_only=False)
     for family in families:
         clause = _FAMILY_CLAUSES[family]
+        tags = _FAMILY_TAGS[family]
         for s, t in pairs:
             for a, b in coalition_pairs:
-                for swapped in (False, True):
-                    witness = clause(model, matcher, s, t, a, b, swapped)
+                for tag, x, y, r in zip(tags, (s, t), (t, s), (rel, inv)):
+                    witness = clause(model, r, x, y, a, b)
                     if witness is not None:
                         return BisimVerdict(False, BisimFailure(
-                            (s, t), _FAMILY_TAGS[(family, swapped)],
-                            coalition_a=a, coalition_b=b, witness=str(witness)))
+                            (s, t), tag, coalition_a=a, coalition_b=b,
+                            witness=str(witness)))
     return BisimVerdict(True)
 
 
@@ -376,7 +286,7 @@ def check_constr_bisim(model: GameModel, relation,
 
 
 def _atom_equivalence_pairs(model: GameModel):
-    sig = _label_bits(model)
+    sig = _labels(model)
     idx = model.state_index
     pairs = [(s, t) for s in model.states for t in model.states if sig[s] == sig[t]]
     pairs.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
@@ -391,17 +301,11 @@ def _greatest(model: GameModel, pair_fails) -> Relation:
     """
     current = _atom_equivalence_pairs(model)
     while True:
-        matcher = _Matcher(model, current)
-        keep = []
-        deleted = False
-        current_set = set(current)
-        for pair in current:
-            if pair_fails(matcher, pair):
-                deleted = True
-            else:
-                keep.append(pair)
-        if not deleted:
-            return frozenset(current_set)
+        rel = _relation(model, current)
+        inv = rel[::-1]
+        keep = [(s, t) for s, t in current if not pair_fails(rel, inv, s, t)]
+        if len(keep) == len(current):
+            return frozenset(current)
         current = keep
 
 
@@ -410,14 +314,13 @@ def greatest_cl_bisim(model: GameModel) -> Relation:
     cached = model.__dict__.get("_greatest_cl")
     if cached is not None:
         return cached
-    coalitions = _coalitions(model.agents)
+    subsets = coalitions(model.agents)
 
-    def fails(matcher, pair):
-        s, t = pair
-        for c in coalitions:
-            for swapped in (False, True):
-                if _cl_clause(model, matcher, s, t, c, swapped) is not None:
-                    return True
+    def fails(rel, inv, s, t):
+        for c in subsets:
+            if (_cl_clause(model, rel, s, t, c) is not None
+                    or _cl_clause(model, inv, t, s, c) is not None):
+                return True
         return False
 
     result = _greatest(model, fails)
@@ -433,13 +336,12 @@ def greatest_constr_bisim(model: GameModel) -> Relation:
     coalition_pairs = _coalition_pairs(model.agents, disjoint_only=True)
     clauses = [_FAMILY_CLAUSES[f] for f in ALL_FAMILIES]
 
-    def fails(matcher, pair):
-        s, t = pair
+    def fails(rel, inv, s, t):
         for a, b in coalition_pairs:
             for clause in clauses:
-                for swapped in (False, True):
-                    if clause(model, matcher, s, t, a, b, swapped) is not None:
-                        return True
+                if (clause(model, rel, s, t, a, b) is not None
+                        or clause(model, inv, t, s, a, b) is not None):
+                    return True
         return False
 
     result = _greatest(model, fails)
@@ -471,7 +373,7 @@ class _Synthesizer:
         self.model = model
         self.ops = (Oc, Oalpha, Obeta)
         self.coalition_pairs = _coalition_pairs(model.agents, disjoint_only=True)
-        sig = _label_bits(model)
+        sig = _labels(model)
         groups: dict[frozenset, list[State]] = {}
         for s in model.states:
             groups.setdefault(sig[s], []).append(s)

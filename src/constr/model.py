@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 Agent = str
@@ -96,6 +96,11 @@ class GameModel:
     avail: dict[tuple[State, Agent], tuple[Action, ...]]
     outcome: dict[tuple[State, tuple[Action, ...]], State]
     valuation: dict[str, frozenset]
+
+    def __hash__(self) -> int:
+        # the generated hash would hash the dict fields; equal models
+        # agree on these two, so this is consistent with ==
+        return hash((self.agents, self.states))
 
     # -- basic lookups ------------------------------------------------
 
@@ -322,6 +327,14 @@ class GameModel:
 
 
 # -- module-level operations on models ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def coalitions(agents: tuple[Agent, ...]) -> tuple[Coalition, ...]:
+    """Every coalition over the agents in canonical order: by size, then
+    in combinations order over the agent tuple."""
+    return tuple(frozenset(combo) for r in range(len(agents) + 1)
+                 for combo in itertools.combinations(agents, r))
 
 
 def joint_actions(model: GameModel, coalition: Coalition, state: State) -> set[JointAction]:

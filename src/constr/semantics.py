@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top
+from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top, formula_agents
 from .model import Coalition, GameModel, InputError, State
 
 
@@ -87,27 +87,6 @@ def strategic_holds_at(model: GameModel, state: State, op: type, a: Coalition,
     raise TypeError(f"not a strategic operator: {op!r}")
 
 
-def _check_coalitions(model: GameModel, f: Formula):
-    for g in _strategic_nodes(f):
-        unknown = (g.a | g.b) - set(model.agents)
-        if unknown:
-            raise InputError(
-                f"formula names agents {sorted(unknown)} not present in the model")
-
-
-def _strategic_nodes(f: Formula):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Not):
-            stack.append(g.sub)
-        elif isinstance(g, And):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, Strategic):
-            yield g
-            stack.extend((g.phi, g.psi))
-
-
 def extension_bits(model: GameModel, f: Formula) -> int:
     """Bitmask of the states satisfying `f`; memoized per model."""
     memo = _model_caches(model)["ext"]
@@ -160,7 +139,10 @@ def holds_via_b_minus_a(model: GameModel, state: State, f: Strategic) -> bool:
         raise InputError("holds_via_b_minus_a expects a strategic formula")
     if state not in model.state_index:
         raise InputError(f"unknown state {state!r}")
-    _check_coalitions(model, f)
+    unknown = formula_agents(f) - set(model.agents)
+    if unknown:
+        raise InputError(
+            f"formula names agents {sorted(unknown)} not present in the model")
     cond = extension_bits(model, f.phi)
     goal = extension_bits(model, f.psi)
     reduced = f.b - f.a

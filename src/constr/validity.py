@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, iff, implies
-from .model import GameModel, InputError, State
+from .model import GameModel, InputError, State, coalitions
 from .semantics import extension_bits, strategic_holds_at
 
 _EMPTY = frozenset()
@@ -135,15 +135,6 @@ def _op_evaluator(model: GameModel):
         return bits
 
     return O
-
-
-@lru_cache(maxsize=None)
-def _canonical_coalitions(agents) -> tuple:
-    out = []
-    for r in range(len(agents) + 1):
-        for combo in itertools.combinations(agents, r):
-            out.append(frozenset(combo))
-    return tuple(out)
 
 
 # -- scheme registry ----------------------------------------------------------
@@ -335,10 +326,13 @@ def _mk_registry() -> dict[str, Scheme]:
           lambda A, B, C, p, q: implies(Obeta(A | C, B, p, q), Obeta(A, B, p, q)),
           valid=False)
 
-    # monotonicity rules, model-global reading
+    # monotonicity rules, model-global reading; flip_condition: the
+    # condition premise reads backwards (phi' -> phi)
     def rule(tag, cls, flip_condition, description):
         def sweep(O, coalitions, P, P2, Q, Q2, full):
-            # caller guarantees the premises hold globally
+            # an instance whose premises fail somewhere is vacuous
+            if (P2 & ~P if flip_condition else P & ~P2) or Q & ~Q2:
+                return None
             for a in coalitions:
                 for b in coalitions:
                     base = O(cls, a, b, P, Q)
@@ -364,9 +358,6 @@ def _mk_registry() -> dict[str, Scheme]:
 
 
 SCHEMES: dict[str, Scheme] = _mk_registry()
-
-# which rules read their condition premise backwards (phi' -> phi)
-_RULE_FLIPS_CONDITION = {"RuleOcMon": False, "RuleObMon": True, "RuleOaMon": True}
 
 EXPECTED_VALID_TAGS = tuple(tag for tag, s in SCHEMES.items() if s.expected_valid)
 EXPECTED_INVALID_TAGS = tuple(tag for tag, s in SCHEMES.items() if not s.expected_valid)
@@ -417,23 +408,17 @@ def _coalition_desc(combo) -> str:
     return " ".join(f"{n}={{{','.join(sorted(c))}}}" for n, c in zip(names, combo))
 
 
-def _rule_premises_hold(tag, P, P2, Q, Q2) -> bool:
-    if _RULE_FLIPS_CONDITION[tag]:
-        return not (P2 & ~P) and not (Q & ~Q2)
-    return not (P & ~P2) and not (Q & ~Q2)
-
-
 def _scheme_counterexample(scheme: Scheme, model: GameModel, substitutions,
                            evaluator=None) -> Counterexample | None:
     """First violating (state, instantiation) of one scheme on one model."""
     O = evaluator if evaluator is not None else _op_evaluator(model)
-    coalitions = _canonical_coalitions(model.agents)
+    subsets = coalitions(model.agents)
     full = model.full_bits
     if scheme.kind == "axiom":
         for phi, psi in substitutions:
             P = extension_bits(model, phi)
             Q = extension_bits(model, psi)
-            hit = scheme.sweep(O, coalitions, P, Q, full)
+            hit = scheme.sweep(O, subsets, P, Q, full)
             if hit is not None:
                 combo, bad = hit
                 state = model.states[(bad & -bad).bit_length() - 1]
@@ -446,9 +431,7 @@ def _scheme_counterexample(scheme: Scheme, model: GameModel, substitutions,
         P2 = extension_bits(model, phi2)
         Q = extension_bits(model, psi)
         Q2 = extension_bits(model, psi2)
-        if not _rule_premises_hold(scheme.tag, P, P2, Q, Q2):
-            continue
-        hit = scheme.sweep(O, coalitions, P, P2, Q, Q2, full)
+        hit = scheme.sweep(O, subsets, P, P2, Q, Q2, full)
         if hit is not None:
             combo, bad = hit
             state = model.states[(bad & -bad).bit_length() - 1]

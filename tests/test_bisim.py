@@ -60,6 +60,35 @@ def test_failure_reports_are_reproducible():
     assert first.to_json()["condition"] == first.failure.condition
 
 
+# identity plus one extra pair on a seeded 3-state model: the first
+# failure of each verdict is a Back clause
+BACK_FAILURES = [
+    (("s1", "s2"), None,
+     {"ok": False, "pair": ["s1", "s2"], "condition": "Back", "coalition_a": ["a"],
+      "coalition_b": None, "witness": "(a:a1)@s2"}),
+    (("s1", "s2"), "c",
+     {"ok": False, "pair": ["s1", "s2"], "condition": "A-Back_c", "coalition_a": [],
+      "coalition_b": ["a"], "witness": "()@s2"}),
+    (("s1", "s2"), "alpha",
+     {"ok": False, "pair": ["s1", "s2"], "condition": "B-Back_alpha", "coalition_a": [],
+      "coalition_b": ["a"], "witness": "(a:a1)@s2"}),
+    (("s2", "s1"), "beta",
+     {"ok": False, "pair": ["s2", "s1"], "condition": "A-Back_beta", "coalition_a": [],
+      "coalition_b": ["a"], "witness": "()@s1"}),
+]
+
+
+@pytest.mark.parametrize("extra, family, expected", BACK_FAILURES)
+def test_back_clause_failures_are_reported(extra, family, expected):
+    m = random_model(GeneratorBounds(agents=2, states=3, actions=2), 103)
+    rel = identity_relation(m) | {extra}
+    if family is None:
+        verdict = bisim.check_cl_bisim(m, rel)
+    else:
+        verdict = bisim.check_constr_bisim(m, rel, families=(family,))
+    assert verdict.to_json() == expected
+
+
 def test_unknown_state_in_relation():
     m = fixture_model("ex1")
     with pytest.raises(InputError):
@@ -99,11 +128,16 @@ def test_greatest_never_relates_differently_labelled_states():
 
 
 def test_greatest_is_reflexive_and_symmetric():
+    # an equivalence: transitivity too, which block refinement relies on
     for name, m in corpus_models().items():
-        rel = bisim.greatest_constr_bisim(m)
-        for s in m.states:
-            assert (s, s) in rel, name
-        assert {(t, s) for s, t in rel} == set(rel), name
+        for greatest in (bisim.greatest_cl_bisim, bisim.greatest_constr_bisim):
+            rel = greatest(m)
+            for s in m.states:
+                assert (s, s) in rel, name
+            assert {(t, s) for s, t in rel} == set(rel), name
+            related = {s: {t for x, t in rel if x == s} for s in m.states}
+            for s, t in rel:
+                assert related[t] <= related[s], (name, s, t)
 
 
 def test_fixpoint_is_sound():

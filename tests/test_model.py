@@ -6,13 +6,14 @@ from constr.corpus import fixture_model, fixture_text
 from constr.model import (
     InputError,
     JointAction,
+    coalitions,
     disjoint_union,
     joint_actions,
     merge,
     outcome_set,
     validate_model,
 )
-from constr.textio import parse_model
+from constr.textio import parse_model, render_model
 from constr.validity import GeneratorBounds, random_model
 
 from oracles import brute_outcome_set, joint_assignments
@@ -20,6 +21,21 @@ from oracles import brute_outcome_set, joint_assignments
 
 def ja(state, **moves):
     return JointAction.of(state, moves)
+
+
+def test_equal_models_hash_equal():
+    for name in ("ex1", "exA", "antimono"):
+        m = fixture_model(name)
+        copy = parse_model(render_model(m))
+        assert copy == m and copy is not m, name
+        assert hash(copy) == hash(m), name
+        assert len({m, copy}) == 1, name
+
+
+def test_coalitions_canonical_order():
+    assert coalitions(("a", "b", "c")) == (
+        frozenset(), frozenset("a"), frozenset("b"), frozenset("c"),
+        frozenset("ab"), frozenset("ac"), frozenset("bc"), frozenset("abc"))
 
 
 def test_corpus_models_validate_clean():
