@@ -12,6 +12,10 @@ condition at the swapped pair (t, s) under the inverse relation, so each
 clause is written once; taking the inverse rather than assuming symmetry
 is what makes non-symmetric relations (such as the diagonal between two
 embedded models) usable.
+
+Both greatest bisimulations are computed by block refinement: the
+coalition-logic one from the partition by atom valuation, the
+conditional one from the coalition-logic classes, which contain it.
 """
 
 from __future__ import annotations
@@ -285,28 +289,70 @@ def check_constr_bisim(model: GameModel, relation,
 # -- greatest fixpoints ---------------------------------------------------
 
 
-def _atom_equivalence_pairs(model: GameModel):
-    sig = _labels(model)
+def _classes(states, key):
+    """States grouped by key value, each group and the groups in state order."""
+    groups: dict = {}
+    for s in states:
+        groups.setdefault(key(s), []).append(s)
+    return [tuple(g) for g in groups.values()]
+
+
+def _relation_classes(model: GameModel, relation):
+    """The classes of an equivalence relation over the model's states."""
     idx = model.state_index
-    pairs = [(s, t) for s in model.states for t in model.states if sig[s] == sig[t]]
-    pairs.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
-    return pairs
+    rows = dict.fromkeys(model.states, 0)
+    for s, t in relation:
+        rows[s] |= 1 << idx[t]
+    return _classes(model.states, rows.__getitem__)
 
 
-def _greatest(model: GameModel, pair_fails) -> Relation:
-    """Shrink the atom-equivalence relation until no clause is violated.
+def _greatest(model: GameModel, blocks, pair_fails) -> Relation:
+    """Refine the partition `blocks` until no clause is violated.
 
-    Deletions are swept in lexicographic pair order round by round; the
-    greatest fixpoint is unique, the sweeps only fix the trace.
+    Each round relates two states when they share a block, so the cover
+    check is the same in both directions and Forth and Back share one
+    memo.  Under an equivalence each clause sees only the closures of
+    the outcome sets, and "Forth and Back hold" is an equivalence inside
+    a block, so grouping a block's states against one representative per
+    group yields exactly the next refinement.  A block can only split
+    when some state of it has a successor in a block that split in the
+    previous round, so only those blocks are re-checked.
     """
-    current = _atom_equivalence_pairs(model)
-    while True:
-        rel = _relation(model, current)
-        inv = rel[::-1]
-        keep = [(s, t) for s, t in current if not pair_fails(rel, inv, s, t)]
-        if len(keep) == len(current):
-            return frozenset(current)
-        current = keep
+    idx = model.state_index
+    preds = [0] * len(model.states)
+    for s in model.states:
+        # the empty coalition's one outcome set holds every successor
+        for t in model.states_of(model.out_bits_table(s, frozenset())[0]):
+            preds[idx[t]] |= 1 << idx[s]
+    dirty = model.full_bits
+    while dirty:
+        masks = [model.bits_of(block) for block in blocks]
+        rows = [0] * len(model.states)
+        for block, bits in zip(blocks, masks):
+            for s in block:
+                rows[idx[s]] = bits
+        check = _Cover(rows).check
+        rel = (check, check)
+        refined = []
+        touched = 0
+        for block, bits in zip(blocks, masks):
+            if len(block) < 2 or not bits & dirty:
+                refined.append(block)
+                continue
+            groups: list[list[State]] = []
+            for s in block:
+                for group in groups:
+                    if not pair_fails(rel, group[0], s):
+                        group.append(s)
+                        break
+                else:
+                    groups.append([s])
+            refined.extend(tuple(g) for g in groups)
+            if len(groups) > 1:
+                for s in block:
+                    touched |= preds[idx[s]]
+        blocks, dirty = refined, touched
+    return frozenset((s, t) for block in blocks for s in block for t in block)
 
 
 def greatest_cl_bisim(model: GameModel) -> Relation:
@@ -316,35 +362,42 @@ def greatest_cl_bisim(model: GameModel) -> Relation:
         return cached
     subsets = coalitions(model.agents)
 
-    def fails(rel, inv, s, t):
+    def fails(rel, s, t):
         for c in subsets:
             if (_cl_clause(model, rel, s, t, c) is not None
-                    or _cl_clause(model, inv, t, s, c) is not None):
+                    or _cl_clause(model, rel, t, s, c) is not None):
                 return True
         return False
 
-    result = _greatest(model, fails)
+    blocks = _classes(model.states, _labels(model).__getitem__)
+    result = _greatest(model, blocks, fails)
     model.__dict__["_greatest_cl"] = result
     return result
 
 
 def greatest_constr_bisim(model: GameModel) -> Relation:
-    """Largest bisimulation for the full conditional language."""
+    """Largest bisimulation for the full conditional language.
+
+    Every such bisimulation is a coalition-logic one (the coop clause at
+    coalitions (c, {}) implies the CL clause at c), so the refinement
+    starts from the classes of the greatest CL bisimulation.
+    """
     cached = model.__dict__.get("_greatest_constr")
     if cached is not None:
         return cached
     coalition_pairs = _coalition_pairs(model.agents, disjoint_only=True)
     clauses = [_FAMILY_CLAUSES[f] for f in ALL_FAMILIES]
 
-    def fails(rel, inv, s, t):
+    def fails(rel, s, t):
         for a, b in coalition_pairs:
             for clause in clauses:
                 if (clause(model, rel, s, t, a, b) is not None
-                        or clause(model, inv, t, s, a, b) is not None):
+                        or clause(model, rel, t, s, a, b) is not None):
                     return True
         return False
 
-    result = _greatest(model, fails)
+    blocks = _relation_classes(model, greatest_cl_bisim(model))
+    result = _greatest(model, blocks, fails)
     model.__dict__["_greatest_constr"] = result
     return result
 
@@ -374,12 +427,7 @@ class _Synthesizer:
         self.ops = (Oc, Oalpha, Obeta)
         self.coalition_pairs = _coalition_pairs(model.agents, disjoint_only=True)
         sig = _labels(model)
-        groups: dict[frozenset, list[State]] = {}
-        for s in model.states:
-            groups.setdefault(sig[s], []).append(s)
-        idx = model.state_index
-        self.blocks = sorted((tuple(sorted(g, key=idx.get)) for g in groups.values()),
-                             key=lambda b: idx[b[0]])
+        self.blocks = _classes(model.states, sig.__getitem__)
         self.dist: dict[tuple, Formula] = {}
         self._literals = self._literal_pool()
         for b1 in self.blocks:

@@ -170,6 +170,53 @@ def test_cl_maximality_against_exhaustive_search():
         assert bisim.greatest_cl_bisim(m) == exhaustive_greatest(m, bisim.check_cl_bisim)
 
 
+
+def chain_model(n):
+    """c0 -> c1 -> ... -> c(n-1), which loops; one action per agent and
+    p only at the last state, so no two states are bisimilar."""
+    states = [f"c{i}" for i in range(n)]
+    lines = ["agents: a b", "states: " + " ".join(states), f"labels {states[-1]}: p"]
+    for i, s in enumerate(states):
+        lines += [f"actions {s} a: a1", f"actions {s} b: b1",
+                  f"go {s} (a1,b1) -> {states[min(i + 1, n - 1)]}"]
+    return parse_model("\n".join(lines) + "\n")
+
+
+def pair_deletion_greatest(m, check):
+    """Greatest fixpoint through the public checker alone: start from atom
+    equivalence and drop each reported failing pair.  Every clause is
+    monotone in the relation, so a pair failing under a superset of the
+    greatest bisimulation is outside it."""
+    sig = {s: frozenset(a for a, ss in m.valuation.items() if s in ss) for s in m.states}
+    rel = {(s, t) for s in m.states for t in m.states if sig[s] == sig[t]}
+    while True:
+        verdict = check(m, rel)
+        if verdict.ok:
+            return rel
+        rel.remove(verdict.failure.pair)
+
+
+def test_greatest_against_pair_deletion_beyond_exhaustive_reach():
+    subjects = [chain_model(n) for n in (8, 10, 12)]
+    for i in range(8):
+        base = random_model(GeneratorBounds(agents=2, states=6, actions=2, atoms=("p",)),
+                            6600 + i)
+        subjects.append(disjoint_union(base, base, "l", "r"))
+    for m in subjects:
+        assert bisim.greatest_cl_bisim(m) == pair_deletion_greatest(m, bisim.check_cl_bisim)
+        assert bisim.greatest_constr_bisim(m) == pair_deletion_greatest(
+            m, bisim.check_constr_bisim)
+
+
+def test_greatest_on_long_chains():
+    m = chain_model(64)
+    assert bisim.greatest_cl_bisim(m) == identity_relation(m)
+    assert bisim.greatest_constr_bisim(m) == identity_relation(m)
+    base = chain_model(32)
+    union = disjoint_union(base, base, "l", "r")
+    expected = {(x + s, y + s) for s in base.states for x in "lr" for y in "lr"}
+    assert bisim.greatest_constr_bisim(union) == expected
+
 def test_invariance_spot_check():
     rng = random.Random(17)
     for name, m in corpus_models().items():
