@@ -314,29 +314,27 @@ def _greatest(model: GameModel, blocks, pair_fails) -> Relation:
     memo.  Under an equivalence each clause sees only the closures of
     the outcome sets, and "Forth and Back hold" is an equivalence inside
     a block, so grouping a block's states against one representative per
-    group yields exactly the next refinement.  A block can only split
-    when some state of it has a successor in a block that split in the
-    previous round, so only those blocks are re-checked.
+    group yields exactly the next refinement.  The rounds stop when none
+    splits a block.
+
+    A non-total outcome map raises InputError naming its first
+    incomplete state in state order.
     """
-    idx = model.state_index
-    preds = [0] * len(model.states)
     for s in model.states:
-        # the empty coalition's one outcome set holds every successor
-        for t in model.states_of(model.out_bits_table(s, frozenset())[0]):
-            preds[idx[t]] |= 1 << idx[s]
-    dirty = model.full_bits
-    while dirty:
-        masks = [model.bits_of(block) for block in blocks]
+        # the empty coalition's one outcome set covers every profile at s
+        model.out_bits_table(s, frozenset())
+    idx = model.state_index
+    while True:
         rows = [0] * len(model.states)
-        for block, bits in zip(blocks, masks):
+        for block in blocks:
+            bits = model.bits_of(block)
             for s in block:
                 rows[idx[s]] = bits
         check = _Cover(rows).check
         rel = (check, check)
         refined = []
-        touched = 0
-        for block, bits in zip(blocks, masks):
-            if len(block) < 2 or not bits & dirty:
+        for block in blocks:
+            if len(block) < 2:
                 refined.append(block)
                 continue
             groups: list[list[State]] = []
@@ -348,10 +346,9 @@ def _greatest(model: GameModel, blocks, pair_fails) -> Relation:
                 else:
                     groups.append([s])
             refined.extend(tuple(g) for g in groups)
-            if len(groups) > 1:
-                for s in block:
-                    touched |= preds[idx[s]]
-        blocks, dirty = refined, touched
+        if len(refined) == len(blocks):
+            break
+        blocks = refined
     return frozenset((s, t) for block in blocks for s in block for t in block)
 
 

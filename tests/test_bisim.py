@@ -170,7 +170,6 @@ def test_cl_maximality_against_exhaustive_search():
         assert bisim.greatest_cl_bisim(m) == exhaustive_greatest(m, bisim.check_cl_bisim)
 
 
-
 def chain_model(n):
     """c0 -> c1 -> ... -> c(n-1), which loops; one action per agent and
     p only at the last state, so no two states are bisimilar."""
@@ -216,6 +215,21 @@ def test_greatest_on_long_chains():
     union = disjoint_union(base, base, "l", "r")
     expected = {(x + s, y + s) for s in base.states for x in "lr" for y in "lr"}
     assert bisim.greatest_constr_bisim(union) == expected
+
+
+def test_greatest_names_first_incomplete_state():
+    # s1 and s2 lack their (a2) outcome; the error names s1 whether or
+    # not s1 shares an atom class with another state
+    for labelled in (("s0", "s2"), ("s1",)):
+        lines = ["agents: a", "states: s0 s1 s2"]
+        lines += [f"labels {s}: p" for s in labelled]
+        for s in ("s0", "s1", "s2"):
+            lines += [f"actions {s} a: a1 a2", f"go {s} (a1) -> s0"]
+        lines.append("go s0 (a2) -> s1")
+        for greatest in (bisim.greatest_cl_bisim, bisim.greatest_constr_bisim):
+            with pytest.raises(InputError, match="not total at s1$"):
+                greatest(parse_model("\n".join(lines) + "\n"))
+
 
 def test_invariance_spot_check():
     rng = random.Random(17)
