@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, or_
-from .model import Coalition, GameModel, InputError, State, coalitions
+from .model import Coalition, GameModel, InputError, State, coalitions, per_model
 from .semantics import extension_bits, holds, strategic_states_bits
 
 Relation = frozenset
@@ -91,6 +91,9 @@ class BisimVerdict:
 def _check_relation(model: GameModel, relation) -> list[tuple[State, State]]:
     pairs = []
     for pair in relation:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(isinstance(x, str) for x in pair)):
+            raise InputError(f"relation entry {pair!r} is not a pair of states")
         s, t = pair
         if s not in model.state_index or t not in model.state_index:
             raise InputError(f"relation references unknown state in {pair!r}")
@@ -352,11 +355,9 @@ def _greatest(model: GameModel, blocks, pair_fails) -> Relation:
     return frozenset((s, t) for block in blocks for s in block for t in block)
 
 
+@per_model
 def greatest_cl_bisim(model: GameModel) -> Relation:
     """Largest coalition-logic bisimulation in the model."""
-    cached = model.__dict__.get("_greatest_cl")
-    if cached is not None:
-        return cached
     subsets = coalitions(model.agents)
 
     def fails(rel, s, t):
@@ -367,11 +368,10 @@ def greatest_cl_bisim(model: GameModel) -> Relation:
         return False
 
     blocks = _classes(model.states, _labels(model).__getitem__)
-    result = _greatest(model, blocks, fails)
-    model.__dict__["_greatest_cl"] = result
-    return result
+    return _greatest(model, blocks, fails)
 
 
+@per_model
 def greatest_constr_bisim(model: GameModel) -> Relation:
     """Largest bisimulation for the full conditional language.
 
@@ -379,9 +379,6 @@ def greatest_constr_bisim(model: GameModel) -> Relation:
     coalitions (c, {}) implies the CL clause at c), so the refinement
     starts from the classes of the greatest CL bisimulation.
     """
-    cached = model.__dict__.get("_greatest_constr")
-    if cached is not None:
-        return cached
     coalition_pairs = _coalition_pairs(model.agents, disjoint_only=True)
     clauses = [_FAMILY_CLAUSES[f] for f in ALL_FAMILIES]
 
@@ -394,9 +391,7 @@ def greatest_constr_bisim(model: GameModel) -> Relation:
         return False
 
     blocks = _relation_classes(model, greatest_cl_bisim(model))
-    result = _greatest(model, blocks, fails)
-    model.__dict__["_greatest_constr"] = result
-    return result
+    return _greatest(model, blocks, fails)
 
 
 # -- distinguishing formulas ----------------------------------------------
@@ -593,10 +588,8 @@ class _Synthesizer:
         return block_of, self.dist
 
 
+@per_model
 def _synthesis_table(model: GameModel):
-    cached = model.__dict__.get("_distinguishers")
-    if cached is not None:
-        return cached
     target = greatest_constr_bisim(model)
     synth = _Synthesizer(model)
     synth.refine(target)
@@ -608,9 +601,7 @@ def _synthesis_table(model: GameModel):
             if same_block != related:
                 raise SynthesisError(
                     f"partition disagrees with the greatest bisimulation at ({s}, {t})")
-    table = (block_of, dist)
-    model.__dict__["_distinguishers"] = table
-    return table
+    return block_of, dist
 
 
 def distinguishing_formula(model: GameModel, s: State, t: State) -> Formula | None:

@@ -409,7 +409,10 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into a core AST, desugaring derived forms."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
 
 
 # -- sampling -------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Mapping
 
 Agent = str
@@ -155,6 +155,11 @@ class GameModel:
     @cached_property
     def atom_bits(self) -> dict[str, int]:
         return {p: self.bits_of(ss) for p, ss in self.valuation.items()}
+
+    @cached_property
+    def _per_model(self) -> dict:
+        # results of the functions decorated with per_model, by function
+        return {}
 
     # -- derived tables ------------------------------------------------
 
@@ -327,6 +332,22 @@ class GameModel:
 
 
 # -- module-level operations on models ---------------------------------
+
+
+def per_model(fn):
+    """Decorator: compute `fn(model)` once per model and keep the result
+    with the model."""
+
+    @wraps(fn)
+    def memoized(model: GameModel):
+        memo = model._per_model
+        try:
+            return memo[fn]
+        except KeyError:
+            result = memo[fn] = fn(model)
+            return result
+
+    return memoized
 
 
 @lru_cache(maxsize=None)

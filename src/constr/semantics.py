@@ -1,17 +1,19 @@
 """Truth evaluation of formulas over game models.
 
 Extensions are computed bottom-up over the subformula DAG with
-memoization at the model level, so repeated queries against one model
-share work.  State sets travel as bitmasks internally; the public API
-speaks frozensets of state names.
+memoization at the model level, and every strategic operator goes
+through the model's one operator evaluator, so repeated queries against
+one model share work.  State sets travel as bitmasks internally; the
+public API speaks frozensets of state names.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top, formula_agents
-from .model import Coalition, GameModel, InputError, State
+from .model import Coalition, GameModel, InputError, State, per_model
 
 
 @dataclass(frozen=True)
@@ -26,32 +28,43 @@ def _subset(x: int, y: int) -> bool:
     return x & ~y == 0
 
 
-def _model_caches(model: GameModel):
-    cache = model.__dict__.get("_sem_caches")
-    if cache is None:
-        cache = {"ext": {}, "op": {}}
-        model.__dict__["_sem_caches"] = cache
-    return cache
+@per_model
+def operator_evaluator(model: GameModel):
+    """The model's operator evaluator, the one cache of operator results.
+
+    `O(op, a, b, cond_bits, goal_bits)` is the bitmask of the states
+    where the strategic operator `op` (one of the Oc / Oalpha / Obeta
+    classes) holds, with `cond_bits` and `goal_bits` standing in for the
+    extensions of its two arguments.  Model checking, the axiom sweeps
+    and distinguisher synthesis all read and fill the same cache.
+    """
+    cache: dict = {}
+    states = model.states
+    holds_at = strategic_holds_at
+    # the evaluator is kept with the model, so a strong reference would
+    # make a cycle that only the cyclic garbage collector can free
+    model_ref = weakref.ref(model)
+
+    def O(op, a, b, cond_bits, goal_bits):
+        key = (op, a, b, cond_bits, goal_bits)
+        bits = cache.get(key)
+        if bits is None:
+            m = model_ref()
+            bits = 0
+            for i, s in enumerate(states):
+                if holds_at(m, s, op, a, b, cond_bits, goal_bits):
+                    bits |= 1 << i
+            cache[key] = bits
+        return bits
+
+    return O
 
 
 def strategic_states_bits(model: GameModel, op: type, a: Coalition, b: Coalition,
                           cond_bits: int, goal_bits: int) -> int:
-    """States where the strategic operator holds for the given argument sets.
-
-    `op` is one of the Oc / Oalpha / Obeta classes; `cond_bits` and
-    `goal_bits` stand in for the extensions of the two arguments.
-    """
-    cache = _model_caches(model)["op"]
-    key = (op, a, b, cond_bits, goal_bits)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    result = 0
-    for i, s in enumerate(model.states):
-        if strategic_holds_at(model, s, op, a, b, cond_bits, goal_bits):
-            result |= 1 << i
-    cache[key] = result
-    return result
+    """States where the strategic operator holds for the given argument
+    sets; one call of the model's operator evaluator."""
+    return operator_evaluator(model)(op, a, b, cond_bits, goal_bits)
 
 
 def strategic_holds_at(model: GameModel, state: State, op: type, a: Coalition,
@@ -87,9 +100,14 @@ def strategic_holds_at(model: GameModel, state: State, op: type, a: Coalition,
     raise TypeError(f"not a strategic operator: {op!r}")
 
 
+@per_model
+def _extension_memo(model: GameModel) -> dict:
+    return {}
+
+
 def extension_bits(model: GameModel, f: Formula) -> int:
     """Bitmask of the states satisfying `f`; memoized per model."""
-    memo = _model_caches(model)["ext"]
+    memo = _extension_memo(model)
     hit = memo.get(f)
     if hit is not None:
         return hit
@@ -195,7 +213,7 @@ def explain(model: GameModel, state: State, f: Formula) -> Explanation:
     securing = [ia for ia, ja in enumerate(jas_a)
                 if _subset(model.out_bits(ja), cond)]
     op = type(target)
-    inner_true = strategic_holds_at(model, state, op, target.a, target.b, cond, goal)
+    inner_true = value != negated
     exp = Explanation(value=value, operator=target.token, negated=negated)
 
     if op is Oc:

@@ -8,8 +8,9 @@ registry is expected to be invalid; for it, finding a counterexample is
 the passing outcome.
 
 Scheme instances are evaluated set-level (operator applied to state
-sets) with one shared evaluation cache per model, which keeps sweeping
-all schemes over tens of thousands of generated models cheap; reported
+sets) through the model's operator evaluator, whose one cache is shared
+by every scheme and by model checking, which keeps sweeping all schemes
+over tens of thousands of generated models cheap; reported
 counterexamples are re-verified through the formula engine.
 """
 
@@ -23,7 +24,9 @@ from typing import Callable, Iterable, Iterator
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, iff, implies
 from .model import GameModel, InputError, State, coalitions
-from .semantics import extension_bits, strategic_holds_at
+from .semantics import extension_bits, holds, operator_evaluator
+# perfbench/tracing.py wraps this binding; nothing here calls it
+from .semantics import strategic_holds_at  # noqa: F401
 
 _EMPTY = frozenset()
 
@@ -111,30 +114,6 @@ def random_model(bounds: GeneratorBounds, seed: int) -> GameModel:
         if marked:
             valuation[atom] = marked
     return _assemble(bounds, outcome, valuation)
-
-
-# -- set-level evaluation ----------------------------------------------------
-
-
-def _op_evaluator(model: GameModel):
-    """Closure computing the state set of one operator application,
-    cached per (operator, coalitions, argument sets)."""
-    cache: dict = {}
-    states = model.states
-    holds_at = strategic_holds_at
-
-    def O(cls, a, b, u, w):
-        key = (cls, a, b, u, w)
-        bits = cache.get(key)
-        if bits is None:
-            bits = 0
-            for i, s in enumerate(states):
-                if holds_at(model, s, cls, a, b, u, w):
-                    bits |= 1 << i
-            cache[key] = bits
-        return bits
-
-    return O
 
 
 # -- scheme registry ----------------------------------------------------------
@@ -250,59 +229,36 @@ def _mk_registry() -> dict[str, Scheme]:
                       O(Oc, a, b, P, Q) ^ O(Oc, a, b, P, P & Q)),
           lambda A, B, p, q: iff(Oc(A, B, p, q), Oc(A, B, p, And(p, q))))
 
-    # reactive operator
-    axiom("Ob1", "reactive ability is monotone in the responding coalition",
-          _growing_sweep(Obeta, grow_first=False),
-          lambda A, B, C, p, q: implies(Obeta(A, B, p, q), Obeta(A, B | C, p, q)))
-    axiom("Ob2", "securing a condition secures it",
-          _single_sweep(lambda O, a, P, Q, full:
-                        full ^ O(Obeta, a, _EMPTY, P, P)),
-          lambda A, B, p, q: Obeta(A, _EMPTY, p, p))
-    axiom("Ob3", "an unsatisfiable condition makes the claim vacuous",
-          _single_sweep(lambda O, a, P, Q, full:
-                        full ^ O(Obeta, a, _EMPTY, 0, Q)),
-          lambda A, B, p, q: Obeta(A, _EMPTY, bottom(), q))
-    axiom("Ob4", "a securable condition cannot force the responder into absurdity",
-          _pair_sweep(lambda O, a, b, P, Q, full:
-                      O(Obeta, _EMPTY, a, full, P) & O(Obeta, a, b, P, 0)),
-          lambda A, B, p, q: implies(Obeta(_EMPTY, A, TOP, p),
-                                     Not(Obeta(A, B, p, bottom()))))
-    axiom("Ob5", "only responders outside the acting coalition matter",
-          _pair_sweep(lambda O, a, b, P, Q, full:
-                      0 if not (a & b) else
-                      O(Obeta, a, b, P, Q) ^ O(Obeta, a, b - a, P, Q)),
-          lambda A, B, p, q: iff(Obeta(A, B, p, q), Obeta(A, B - A, p, q)))
-    axiom("Ob6", "the condition can be folded into the goal",
-          _pair_sweep(lambda O, a, b, P, Q, full:
-                      O(Obeta, a, b, P, Q) ^ O(Obeta, a, b, P, P & Q)),
-          lambda A, B, p, q: iff(Obeta(A, B, p, q), Obeta(A, B, p, And(p, q))))
+    # reactive and proactive operators: the same six schemes, restated
+    def restate(prefix, op, reading):
+        axiom(f"{prefix}1", f"{reading} ability is monotone in the responding coalition",
+              _growing_sweep(op, grow_first=False),
+              lambda A, B, C, p, q: implies(op(A, B, p, q), op(A, B | C, p, q)))
+        axiom(f"{prefix}2", "securing a condition secures it",
+              _single_sweep(lambda O, a, P, Q, full: full ^ O(op, a, _EMPTY, P, P)),
+              lambda A, B, p, q: op(A, _EMPTY, p, p))
+        axiom(f"{prefix}3", "an unsatisfiable condition makes the claim vacuous",
+              _single_sweep(lambda O, a, P, Q, full: full ^ O(op, a, _EMPTY, 0, Q)),
+              lambda A, B, p, q: op(A, _EMPTY, bottom(), q))
+        axiom(f"{prefix}4", "a securable condition cannot force the responder into absurdity",
+              _pair_sweep(lambda O, a, b, P, Q, full:
+                          O(op, _EMPTY, a, full, P) & O(op, a, b, P, 0)),
+              lambda A, B, p, q: implies(op(_EMPTY, A, TOP, p),
+                                         Not(op(A, B, p, bottom()))))
+        axiom(f"{prefix}5", "only responders outside the acting coalition matter",
+              _pair_sweep(lambda O, a, b, P, Q, full:
+                          0 if not (a & b) else
+                          O(op, a, b, P, Q) ^ O(op, a, b - a, P, Q)),
+              lambda A, B, p, q: iff(op(A, B, p, q), op(A, B - A, p, q)))
+        axiom(f"{prefix}6", "the condition can be folded into the goal",
+              _pair_sweep(lambda O, a, b, P, Q, full:
+                          O(op, a, b, P, Q) ^ O(op, a, b, P, P & Q)),
+              lambda A, B, p, q: iff(op(A, B, p, q), op(A, B, p, And(p, q))))
 
-    # proactive operator: the reactive schemes restated, plus anti-monotonicity
-    axiom("Oa1", "proactive ability is monotone in the responding coalition",
-          _growing_sweep(Oalpha, grow_first=False),
-          lambda A, B, C, p, q: implies(Oalpha(A, B, p, q), Oalpha(A, B | C, p, q)))
-    axiom("Oa2", "securing a condition secures it",
-          _single_sweep(lambda O, a, P, Q, full:
-                        full ^ O(Oalpha, a, _EMPTY, P, P)),
-          lambda A, B, p, q: Oalpha(A, _EMPTY, p, p))
-    axiom("Oa3", "an unsatisfiable condition makes the claim vacuous",
-          _single_sweep(lambda O, a, P, Q, full:
-                        full ^ O(Oalpha, a, _EMPTY, 0, Q)),
-          lambda A, B, p, q: Oalpha(A, _EMPTY, bottom(), q))
-    axiom("Oa4", "a securable condition cannot force the responder into absurdity",
-          _pair_sweep(lambda O, a, b, P, Q, full:
-                      O(Oalpha, _EMPTY, a, full, P) & O(Oalpha, a, b, P, 0)),
-          lambda A, B, p, q: implies(Oalpha(_EMPTY, A, TOP, p),
-                                     Not(Oalpha(A, B, p, bottom()))))
-    axiom("Oa5", "only responders outside the acting coalition matter",
-          _pair_sweep(lambda O, a, b, P, Q, full:
-                      0 if not (a & b) else
-                      O(Oalpha, a, b, P, Q) ^ O(Oalpha, a, b - a, P, Q)),
-          lambda A, B, p, q: iff(Oalpha(A, B, p, q), Oalpha(A, B - A, p, q)))
-    axiom("Oa6", "the condition can be folded into the goal",
-          _pair_sweep(lambda O, a, b, P, Q, full:
-                      O(Oalpha, a, b, P, Q) ^ O(Oalpha, a, b, P, P & Q)),
-          lambda A, B, p, q: iff(Oalpha(A, B, p, q), Oalpha(A, B, p, And(p, q))))
+    restate("Ob", Obeta, "reactive")
+    restate("Oa", Oalpha, "proactive")
+
+    # the proactive operator only: anti-monotone in the acting coalition
     axiom("OaStar", "proactive ability is anti-monotone in the acting coalition",
           _shrinking_sweep(Oalpha),
           lambda A, B, C, p, q: implies(Oalpha(A | C, B, p, q), Oalpha(A, B, p, q)))
@@ -408,10 +364,10 @@ def _coalition_desc(combo) -> str:
     return " ".join(f"{n}={{{','.join(sorted(c))}}}" for n, c in zip(names, combo))
 
 
-def _scheme_counterexample(scheme: Scheme, model: GameModel, substitutions,
-                           evaluator=None) -> Counterexample | None:
+def _scheme_counterexample(scheme: Scheme, model: GameModel,
+                           substitutions) -> Counterexample | None:
     """First violating (state, instantiation) of one scheme on one model."""
-    O = evaluator if evaluator is not None else _op_evaluator(model)
+    O = operator_evaluator(model)
     subsets = coalitions(model.agents)
     full = model.full_bits
     if scheme.kind == "axiom":
@@ -466,7 +422,6 @@ def check_scheme(scheme: Scheme, models: Iterable[GameModel],
 
 def verify_counterexample(cx: Counterexample) -> bool:
     """Re-check a reported counterexample through the formula engine."""
-    from .semantics import holds
     return not holds(cx.model, cx.state, cx.formula)
 
 
@@ -589,8 +544,8 @@ def selected_schemes(config: SuiteConfig) -> list[Scheme]:
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     """Check every selected scheme against its model stream.
 
-    Valid schemes share one pass over the generated family (and one
-    evaluation cache per model); the expected-invalid schemes each hunt
+    Valid schemes share one pass over the generated family (and the
+    model's operator evaluator); the expected-invalid schemes each hunt
     the counterexample stream until their budget runs out.
     """
     config = config or SuiteConfig()
@@ -604,12 +559,11 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     if valid:
         for model in valid_model_stream(config):
             tried += 1
-            evaluator = _op_evaluator(model)
             for scheme in valid:
                 if scheme.tag in found:
                     continue
                 subs = axiom_subs if scheme.kind == "axiom" else rule_subs
-                cx = _scheme_counterexample(scheme, model, subs, evaluator)
+                cx = _scheme_counterexample(scheme, model, subs)
                 if cx is not None:
                     found[scheme.tag] = cx
 

@@ -97,6 +97,15 @@ def test_unknown_state_in_relation():
         bisim.check_constr_bisim(m, {("zz", "s0")})
 
 
+def test_malformed_relation_entry_is_named():
+    m = fixture_model("ex1")
+    for bad in (("s0",), ("s0", "s1", "s2"), "s0", ("s0", 1)):
+        for checker in (bisim.check_cl_bisim, bisim.check_constr_bisim):
+            with pytest.raises(InputError, match="is not a pair of states") as exc:
+                checker(m, [("s0", "s0"), bad])
+            assert repr(bad) in str(exc.value)
+
+
 def test_greatest_on_single_state_model():
     m = parse_model("agents: a\nstates: s0\nactions s0 a: a1\ngo s0 (a1) -> s0\n")
     assert bisim.greatest_constr_bisim(m) == {("s0", "s0")}

@@ -51,6 +51,17 @@ def test_check_explain_and_json(runner, workdir):
     assert payload["explain"]["operator"] == "Oa"
 
 
+@pytest.mark.parametrize("text", [
+    "~" * 1000 + "p", "~" * 10_000 + "p", "(" * 300 + "p" + ")" * 300,
+], ids=["not1000", "not10000", "parens300"])
+def test_deeply_nested_formula_exits_2(runner, workdir, text):
+    ex1 = str(workdir / "ex1.cgm")
+    for args in (["check", ex1, "s0", text], ["extension", ex1, text]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2
+        assert "error: formula: formula nested too deeply" in r.stderr
+
+
 def test_invalid_model_rejected(runner, workdir):
     r = runner.invoke(main, ["check", str(workdir / "broken.cgm"), "s0", "p"])
     assert r.exit_code == 2

@@ -84,6 +84,14 @@ def test_syntax_errors(text):
         parse_formula(text)
 
 
+@pytest.mark.parametrize("text", [
+    "~" * 1000 + "p", "~" * 10_000 + "p", "(" * 300 + "p" + ")" * 300,
+], ids=["not1000", "not10000", "parens300"])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula(text)
+
+
 def test_reserved_words_are_not_atoms():
     with pytest.raises(ParseError):
         parse_formula("Oc & p")

@@ -23,6 +23,8 @@ from constr.validity import (
     verify_counterexample,
 )
 
+from oracles import brute_holds
+
 # frozen tag list; the registry must match it exactly or the suite is lying
 ALL_TAGS = (
     "Oc1", "Oc2", "Oc3", "Oc4", "Oc5", "Oc6", "Oc7",
@@ -33,9 +35,41 @@ ALL_TAGS = (
     "RuleOcMon", "RuleObMon", "RuleOaMon",
 )
 
+# frozen registry: (tag, kind, expected_valid, description) of every scheme
+REGISTRY = (
+    ("Oc1", "axiom", True, "cooperation is monotone in the acting coalition"),
+    ("Oc2", "axiom", True, "cooperation is monotone in the responding coalition"),
+    ("Oc3", "axiom", True, "cooperation collapses to joint unconditional ability"),
+    ("Oc4", "axiom", True, "with no responder, splitting the goals is immaterial"),
+    ("Oc5", "axiom", True, "an unsatisfiable condition rules cooperation out"),
+    ("Oc6", "axiom", True, "only responders outside the acting coalition matter"),
+    ("Oc7", "axiom", True, "the condition can be folded into the goal"),
+    ("Ob1", "axiom", True, "reactive ability is monotone in the responding coalition"),
+    ("Ob2", "axiom", True, "securing a condition secures it"),
+    ("Ob3", "axiom", True, "an unsatisfiable condition makes the claim vacuous"),
+    ("Ob4", "axiom", True, "a securable condition cannot force the responder into absurdity"),
+    ("Ob5", "axiom", True, "only responders outside the acting coalition matter"),
+    ("Ob6", "axiom", True, "the condition can be folded into the goal"),
+    ("Oa1", "axiom", True, "proactive ability is monotone in the responding coalition"),
+    ("Oa2", "axiom", True, "securing a condition secures it"),
+    ("Oa3", "axiom", True, "an unsatisfiable condition makes the claim vacuous"),
+    ("Oa4", "axiom", True, "a securable condition cannot force the responder into absurdity"),
+    ("Oa5", "axiom", True, "only responders outside the acting coalition matter"),
+    ("Oa6", "axiom", True, "the condition can be folded into the goal"),
+    ("OaStar", "axiom", True, "proactive ability is anti-monotone in the acting coalition"),
+    ("ConStR1", "axiom", True, "proactive ability implies reactive ability"),
+    ("ConStR2", "axiom", True, "securable condition plus reactive ability yields cooperation"),
+    ("ObAntiMon", "axiom", False, "reactive ability is NOT anti-monotone in the acting coalition"),
+    ("RuleOcMon", "rule", True, "cooperation is monotone in both arguments"),
+    ("RuleObMon", "rule", True, "reactive ability: anti-monotone condition, monotone goal"),
+    ("RuleOaMon", "rule", True, "proactive ability: anti-monotone condition, monotone goal"),
+)
+
 
 def test_registry_matches_frozen_tag_list():
     assert tuple(SCHEMES) == ALL_TAGS
+    assert tuple((t, s.kind, s.expected_valid, s.description)
+                 for t, s in SCHEMES.items()) == REGISTRY
     assert set(EXPECTED_INVALID_TAGS) == {"ObAntiMon"}
     assert set(EXPECTED_VALID_TAGS) == set(ALL_TAGS) - {"ObAntiMon"}
     assert all(SCHEMES[t].kind == "rule" for t in ALL_TAGS if t.startswith("Rule"))
@@ -93,10 +127,17 @@ def test_constr1_over_random_family():
     assert not check_scheme(SCHEMES["ConStR1"], models).found
 
 
+def _refuted_by_oracle(cx):
+    # verify_counterexample reads operator results the sweep cached; the
+    # brute-force oracle shares nothing with the engine
+    return not brute_holds(cx.model, cx.state, cx.formula)
+
+
 def test_antimono_counterexample_from_embedded_model():
     verdict = check_scheme(SCHEMES["ObAntiMon"], [embedded_falsifier()])
     assert verdict.found
     assert verify_counterexample(verdict.counterexample)
+    assert _refuted_by_oracle(verdict.counterexample)
     # the canonical instance is itself false at the root
     m = embedded_falsifier()
     instance = parse_formula("Ob[{a,c},{b}](p, q) -> Ob[{a},{b}](p, q)")
@@ -108,6 +149,7 @@ def test_antimono_counterexample_from_random_search():
     verdict = check_scheme(SCHEMES["ObAntiMon"], models)
     assert verdict.found
     assert verify_counterexample(verdict.counterexample)
+    assert _refuted_by_oracle(verdict.counterexample)
 
 
 def test_every_counterexample_reverifies():
@@ -116,6 +158,7 @@ def test_every_counterexample_reverifies():
     verdict = check_scheme(SCHEMES["ObAntiMon"], models)
     if verdict.found:
         assert verify_counterexample(verdict.counterexample)
+        assert _refuted_by_oracle(verdict.counterexample)
 
 
 def test_valid_schemes_on_sliced_family():
