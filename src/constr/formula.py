@@ -23,7 +23,11 @@ from .model import Coalition, ParseError
 
 
 class Formula:
-    """Base class for formulas.  Instances are immutable and hashable."""
+    """Base class for formulas.  Instances are immutable and hashable.
+
+    Equality is structural and returns at once on the same node, so two
+    trees that share subformulas compare without walking the shared parts.
+    """
 
     _hash: int
 
@@ -64,7 +68,7 @@ class Not(Formula):
         self._hash = hash(("not", sub))
 
     def __eq__(self, other):
-        return type(other) is Not and other.sub == self.sub
+        return other is self or type(other) is Not and other.sub == self.sub
 
     __hash__ = Formula.__hash__
 
@@ -76,7 +80,8 @@ class And(Formula):
         self._hash = hash(("and", left, right))
 
     def __eq__(self, other):
-        return type(other) is And and other.left == self.left and other.right == self.right
+        return other is self or (type(other) is And and other.left == self.left
+                                 and other.right == self.right)
 
     __hash__ = Formula.__hash__
 
@@ -98,8 +103,9 @@ class Strategic(Formula):
         self._hash = hash((self.token, self.a, self.b, phi, psi))
 
     def __eq__(self, other):
-        return (type(other) is type(self) and other.a == self.a and other.b == self.b
-                and other.phi == self.phi and other.psi == self.psi)
+        return other is self or (type(other) is type(self) and other.a == self.a
+                                 and other.b == self.b and other.phi == self.phi
+                                 and other.psi == self.psi)
 
     __hash__ = Formula.__hash__
 

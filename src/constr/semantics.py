@@ -2,9 +2,11 @@
 
 Extensions are computed bottom-up over the subformula DAG with
 memoization at the model level, and every strategic operator goes
-through the model's one operator evaluator, so repeated queries against
-one model share work.  State sets travel as bitmasks internally; the
-public API speaks frozensets of state names.
+through the model's one operator evaluator.  It keeps one kernel table
+per (operator kind, acting coalition, responders): the distinct outcome
+signatures of the joint actions, with the states showing each, so one
+application is one pass over those signatures.  State sets travel as
+bitmasks internally; the public API speaks frozensets of state names.
 """
 
 from __future__ import annotations
@@ -28,34 +30,117 @@ def _subset(x: int, y: int) -> bool:
     return x & ~y == 0
 
 
+def _joint_masks(model: GameModel, state: State, members, masks, full) -> list[int]:
+    """Profile-index mask of every joint action of the members at a state."""
+    joint = [full]
+    for agent in members:
+        joint = [m & masks.get((agent, act), 0)
+                 for m in joint for act in model.avail.get((state, agent), ())]
+    return joint
+
+
+def _minimal(masks) -> tuple[int, ...]:
+    """The subset-minimal masks, ascending; a proper subset is numerically
+    smaller, so it is kept before any superset is looked at."""
+    keep: list[int] = []
+    for m in sorted(set(masks)):
+        for k in keep:
+            if not k & ~m:
+                break
+        else:
+            keep.append(m)
+    return tuple(keep)
+
+
+def _kernel_table(model: GameModel, proactive: bool, a: Coalition, r: Coalition) -> list:
+    """Distinct outcome signatures of one (operator kind, a, r), each with
+    the bitmask of the states that show it; r is the responder coalition
+    stripped of a.
+
+    Oc and Obeta share the entries
+    ((sigma_a outcome, minimal merged outcomes over sigma_b), states): a
+    sigma_b secures a goal exactly when some minimal merged outcome lies
+    inside it.  Oalpha reads one entry per sigma_b column:
+    (frozenset of (sigma_a outcome, merged outcome) pairs, states).
+    """
+    actors = [ag for ag in model.agents if ag in a]
+    responders = [ag for ag in model.agents if ag in r]
+    collect = model._collect_out
+    signatures: dict = {}
+    for i, s in enumerate(model.states):
+        masks, full = model._profile_masks(s)
+        rows = [(pa, collect(s, pa)) for pa in _joint_masks(model, s, actors, masks, full)]
+        responses = _joint_masks(model, s, responders, masks, full)
+        if proactive:
+            sigs = [frozenset((out_a, collect(s, pa & pb)) for pa, out_a in rows)
+                    for pb in responses]
+        else:
+            sigs = [(out_a, _minimal(collect(s, pa & pb) for pb in responses))
+                    for pa, out_a in rows]
+        bit = 1 << i
+        for sig in sigs:
+            signatures[sig] = signatures.get(sig, 0) | bit
+    return list(signatures.items())
+
+
 @per_model
 def operator_evaluator(model: GameModel):
-    """The model's operator evaluator, the one cache of operator results.
+    """The model's operator evaluator.
 
     `O(op, a, b, cond_bits, goal_bits)` is the bitmask of the states
     where the strategic operator `op` (one of the Oc / Oalpha / Obeta
     classes) holds, with `cond_bits` and `goal_bits` standing in for the
-    extensions of its two arguments.  Model checking, the axiom sweeps
-    and distinguisher synthesis all read and fill the same cache.
+    extensions of its two arguments.  Each call is one loop over the
+    distinct outcome signatures of (operator kind, a, b), built on first
+    use; these kernel tables are the only operator state kept per model.
+    Model checking, the axiom sweeps and distinguisher synthesis all
+    share them.
     """
-    cache: dict = {}
-    states = model.states
-    holds_at = strategic_holds_at
+    tables: dict = {}
+    full = model.full_bits
     # the evaluator is kept with the model, so a strong reference would
     # make a cycle that only the cyclic garbage collector can free
     model_ref = weakref.ref(model)
 
     def O(op, a, b, cond_bits, goal_bits):
-        key = (op, a, b, cond_bits, goal_bits)
-        bits = cache.get(key)
-        if bits is None:
-            m = model_ref()
-            bits = 0
-            for i, s in enumerate(states):
-                if holds_at(m, s, op, a, b, cond_bits, goal_bits):
-                    bits |= 1 << i
-            cache[key] = bits
-        return bits
+        proactive = op is Oalpha
+        if not proactive and op is not Oc and op is not Obeta:
+            raise TypeError(f"not a strategic operator: {op!r}")
+        key = (proactive, a, b)
+        table = tables.get(key)
+        if table is None:
+            # only b - a responds, the acting coalition winning the overlap
+            table = tables.get((proactive, a, b - a))
+            if table is None:
+                table = _kernel_table(model_ref(), proactive, a, b - a)
+                tables[proactive, a, b - a] = table
+            tables[key] = table
+        outside_cond = ~cond_bits
+        outside_goal = ~goal_bits
+        held = 0
+        if proactive:
+            for column, bits in table:
+                for out_a, out_ab in column:
+                    if not out_a & outside_cond and out_ab & outside_goal:
+                        break
+                else:
+                    held |= bits
+            return held
+        # Oc: states with an answered condition-securing sigma_a;
+        # Obeta: states without an unanswered one
+        want_answered = op is Oc
+        for (out_a, minimal), bits in table:
+            if out_a & outside_cond:
+                continue
+            for m in minimal:
+                if not m & outside_goal:
+                    answered = True
+                    break
+            else:
+                answered = False
+            if answered is want_answered:
+                held |= bits
+        return held if want_answered else full & ~held
 
     return O
 

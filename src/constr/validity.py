@@ -8,10 +8,13 @@ registry is expected to be invalid; for it, finding a counterexample is
 the passing outcome.
 
 Scheme instances are evaluated set-level (operator applied to state
-sets) through the model's operator evaluator, whose one cache is shared
-by every scheme and by model checking, which keeps sweeping all schemes
-over tens of thousands of generated models cheap; reported
-counterexamples are re-verified through the formula engine.
+sets) through the model's operator evaluator, whose kernel tables are
+shared by every scheme and by model checking.  Results are not cached:
+the union sweeps evaluate each coalition pair once, and a scheme skips
+the substitutions whose argument sets it already swept on the model.
+That keeps sweeping all schemes over tens of thousands of generated
+models cheap.  Reported counterexamples are re-verified through the
+formula engine.
 """
 
 from __future__ import annotations
@@ -159,20 +162,22 @@ def _single_sweep(body):
     return sweep
 
 
+def _operator_sets(O, cls, coalitions, P, Q) -> dict:
+    # every (a, b) once, in sweep order: the union loops revisit them
+    return {(a, b): O(cls, a, b, P, Q) for a in coalitions for b in coalitions}
+
+
 def _growing_sweep(cls, grow_first: bool):
     # monotone-union schemes: the base set must transfer to the union
     def sweep(O, coalitions, P, Q, full):
-        for a in coalitions:
-            for b in coalitions:
-                base = O(cls, a, b, P, Q)
-                if not base:
-                    continue
-                for c in coalitions:
-                    a2 = a | c if grow_first else a
-                    b2 = b if grow_first else b | c
-                    bad = base & ~O(cls, a2, b2, P, Q)
-                    if bad:
-                        return (a, b, c), bad
+        sets = _operator_sets(O, cls, coalitions, P, Q)
+        for (a, b), base in sets.items():
+            if not base:
+                continue
+            for c in coalitions:
+                bad = base & ~(sets[a | c, b] if grow_first else sets[a, b | c])
+                if bad:
+                    return (a, b, c), bad
         return None
     return sweep
 
@@ -180,15 +185,14 @@ def _growing_sweep(cls, grow_first: bool):
 def _shrinking_sweep(cls):
     # anti-monotone schemes: the union's set must transfer to the base
     def sweep(O, coalitions, P, Q, full):
-        for a in coalitions:
-            for b in coalitions:
-                target = O(cls, a, b, P, Q)
-                if target == full:
-                    continue
-                for c in coalitions:
-                    bad = O(cls, a | c, b, P, Q) & ~target
-                    if bad:
-                        return (a, b, c), bad
+        sets = _operator_sets(O, cls, coalitions, P, Q)
+        for (a, b), target in sets.items():
+            if target == full:
+                continue
+            for c in coalitions:
+                bad = sets[a | c, b] & ~target
+                if bad:
+                    return (a, b, c), bad
         return None
     return sweep
 
@@ -366,35 +370,33 @@ def _coalition_desc(combo) -> str:
 
 def _scheme_counterexample(scheme: Scheme, model: GameModel,
                            substitutions) -> Counterexample | None:
-    """First violating (state, instantiation) of one scheme on one model."""
+    """First violating (state, instantiation) of one scheme on one model.
+
+    Each substitution formula is evaluated once, and an instance whose
+    tuple of argument sets was already swept is skipped: it would sweep
+    identically, so the first violating instance in order is unchanged.
+    """
     O = operator_evaluator(model)
     subsets = coalitions(model.agents)
     full = model.full_bits
-    if scheme.kind == "axiom":
-        for phi, psi in substitutions:
-            P = extension_bits(model, phi)
-            Q = extension_bits(model, psi)
-            hit = scheme.sweep(O, subsets, P, Q, full)
-            if hit is not None:
-                combo, bad = hit
-                state = model.states[(bad & -bad).bit_length() - 1]
-                desc = f"{_coalition_desc(combo)} phi={phi} psi={psi}"
-                return Counterexample(model, state, desc,
-                                      scheme.build(*combo, phi, psi))
-        return None
-    for phi, phi2, psi, psi2 in substitutions:
-        P = extension_bits(model, phi)
-        P2 = extension_bits(model, phi2)
-        Q = extension_bits(model, psi)
-        Q2 = extension_bits(model, psi2)
-        hit = scheme.sweep(O, subsets, P, P2, Q, Q2, full)
+    ext: dict = {}
+    swept: set = set()
+    for sub in substitutions:
+        for f in sub:
+            if f not in ext:
+                ext[f] = extension_bits(model, f)
+        bits = tuple([ext[f] for f in sub])
+        if bits in swept:
+            continue
+        swept.add(bits)
+        hit = scheme.sweep(O, subsets, *bits, full)
         if hit is not None:
             combo, bad = hit
             state = model.states[(bad & -bad).bit_length() - 1]
-            desc = (f"{_coalition_desc(combo)} phi={phi} phi'={phi2} "
-                    f"psi={psi} psi'={psi2}")
-            return Counterexample(model, state, desc,
-                                  scheme.build(*combo, phi, phi2, psi, psi2))
+            names = ("phi", "psi") if scheme.kind == "axiom" else ("phi", "phi'", "psi", "psi'")
+            args = " ".join(f"{name}={f}" for name, f in zip(names, sub))
+            return Counterexample(model, state, f"{_coalition_desc(combo)} {args}",
+                                  scheme.build(*combo, *sub))
     return None
 
 

@@ -49,6 +49,33 @@ def brute_merge(first, second):
     return combined
 
 
+def _brute_operator_at(model, state, op, a, b, in_cond, in_goal):
+    """The quantifier nest of one strategic operator at one state; the
+    condition and goal are tests on states."""
+
+    def secures(assignment, test):
+        return all(test(u) for u in brute_outcome_set(model, state, assignment))
+
+    a_choices = joint_assignments(model, state, a)
+    b_choices = joint_assignments(model, state, b)
+    if op is Oc:
+        return any(
+            secures(sa, in_cond) and any(secures(brute_merge(sa, sb), in_goal)
+                                         for sb in b_choices)
+            for sa in a_choices)
+    if op is Oalpha:
+        return any(
+            all(not secures(sa, in_cond) or secures(brute_merge(sa, sb), in_goal)
+                for sa in a_choices)
+            for sb in b_choices)
+    if op is Obeta:
+        return all(
+            not secures(sa, in_cond) or any(secures(brute_merge(sa, sb), in_goal)
+                                            for sb in b_choices)
+            for sa in a_choices)
+    raise TypeError(f"not a strategic operator: {op!r}")
+
+
 def brute_holds(model, state, f):
     """Literal quantifier nest; recomputes everything on every call."""
     if isinstance(f, Atom):
@@ -59,29 +86,18 @@ def brute_holds(model, state, f):
         return not brute_holds(model, state, f.sub)
     if isinstance(f, And):
         return brute_holds(model, state, f.left) and brute_holds(model, state, f.right)
+    return _brute_operator_at(model, state, type(f), f.a, f.b,
+                              lambda u: brute_holds(model, u, f.phi),
+                              lambda u: brute_holds(model, u, f.psi))
 
-    def secures(assignment, goal):
-        return all(brute_holds(model, u, goal)
-                   for u in brute_outcome_set(model, state, assignment))
 
-    a_choices = joint_assignments(model, state, f.a)
-    b_choices = joint_assignments(model, state, f.b)
-    if isinstance(f, Oc):
-        return any(
-            secures(sa, f.phi) and any(secures(brute_merge(sa, sb), f.psi)
-                                       for sb in b_choices)
-            for sa in a_choices)
-    if isinstance(f, Oalpha):
-        return any(
-            all(not secures(sa, f.phi) or secures(brute_merge(sa, sb), f.psi)
-                for sa in a_choices)
-            for sb in b_choices)
-    if isinstance(f, Obeta):
-        return all(
-            not secures(sa, f.phi) or any(secures(brute_merge(sa, sb), f.psi)
-                                          for sb in b_choices)
-            for sa in a_choices)
-    raise TypeError(f"not a formula: {f!r}")
+def brute_operator_states(model, op, a, b, cond_states, goal_states):
+    """States where the operator holds when its condition and goal are
+    true exactly at the given states."""
+    return frozenset(
+        s for s in model.states
+        if _brute_operator_at(model, s, op, a, b,
+                              cond_states.__contains__, goal_states.__contains__))
 
 
 def brute_extension(model, f):

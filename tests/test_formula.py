@@ -118,3 +118,34 @@ def test_structural_equality_and_hash():
     assert f1 == f2 and hash(f1) == hash(f2)
     assert f1 != parse_formula("Oc[{b},{a}](p, q) & ~p")
     assert len({f1, f2}) == 1
+
+
+def _doubling(leaf, depth):
+    f = leaf
+    for _ in range(depth):
+        f = And(f, f)
+    return f
+
+
+def test_unshared_trees_compare_structurally():
+    # built twice from fresh atoms: no node is shared between the two
+    f1, f2 = _doubling(Atom("p"), 12), _doubling(Atom("p"), 12)
+    assert f1 == f2 and hash(f1) == hash(f2)
+    assert f1 != _doubling(Atom("q"), 12)
+    g1 = Obeta(A, B, Not(f1), f1)
+    g2 = Obeta(A, B, Not(f2), f2)
+    assert g1 == g2 and hash(g1) == hash(g2)
+    assert g1 != Oalpha(A, B, Not(f2), f2)
+
+
+def test_formulas_sharing_deep_subformulas_compare_at_once():
+    # doubling depth 64: a tree of 2**65 - 1 nodes over 65 distinct ones;
+    # each pair below is built separately over that one shared DAG
+    f = _doubling(p, 64)
+    pairs = [(And(f.left, f.right), f), (Not(f), Not(f)), (And(f, q), And(f, q)),
+             (Oc(A, B, f, f), Oc(A, B, f, f)), (Obeta(A, B, q, f), Obeta(A, B, q, f))]
+    for x, y in pairs:
+        assert x is not y
+        assert x == y and hash(x) == hash(y)
+    assert And(f, p) != And(f, q)
+    assert Oc(A, B, f, p) != Oalpha(A, B, f, p)

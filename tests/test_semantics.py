@@ -18,11 +18,11 @@ from constr.formula import (
     parse_formula,
     random_formula,
 )
-from constr.model import InputError
-from constr.semantics import extension, holds, holds_via_b_minus_a
+from constr.model import GameModel, InputError
+from constr.semantics import extension, holds, holds_via_b_minus_a, operator_evaluator
 from constr.validity import GeneratorBounds, random_model
 
-from oracles import brute_holds
+from oracles import brute_holds, brute_operator_states
 
 p, q = Atom("p"), Atom("q")
 
@@ -223,3 +223,44 @@ def test_engine_agrees_with_brute_force_spot_checks():
         f = random_formula(rng, ["p", "q"], ["a", "b"], 2)
         for s in m.states:
             assert holds(m, s, f) == brute_holds(m, s, f)
+
+
+def test_operator_evaluator_agrees_with_brute_force():
+    # (agents, states, actions): every value of 1-3 agents, 1-4 states and
+    # 1-3 actions, kept small enough for the oracle to take every
+    # condition/goal pair
+    shapes = [(1, 1, 1), (1, 4, 3), (2, 1, 3), (2, 2, 3), (2, 3, 2), (2, 4, 1),
+              (3, 1, 3), (3, 2, 2), (3, 3, 1), (3, 4, 1)]
+    rng = random.Random(17)
+    models = [random_model(GeneratorBounds(*shape), rng.randrange(10 ** 6))
+              for shape in shapes]
+    for m in models:
+        O = operator_evaluator(m)
+        sets = [(bits, m.states_of(bits)) for bits in range(1 << len(m.states))]
+        coalitions = _all_coalitions(m.agents)
+        for op in (Oc, Oalpha, Obeta):
+            for a in coalitions:
+                # largest responders first, so that some kernel tables are
+                # first built for a responder coalition overlapping a
+                for b in reversed(coalitions):
+                    for cond_bits, cond in sets:
+                        for goal_bits, goal in sets:
+                            want = brute_operator_states(m, op, a, b, cond, goal)
+                            assert O(op, a, b, cond_bits, goal_bits) == m.bits_of(want), \
+                                (m.states, op.token, a, b, cond, goal)
+
+
+def test_operator_evaluator_names_first_state_without_outcome():
+    # s1 and s2 both lack the outcome of profile (a2); s1 comes first
+    m = GameModel(
+        agents=("a",), states=("s0", "s1", "s2"),
+        avail={(s, "a"): ("a1", "a2") for s in ("s0", "s1", "s2")},
+        outcome={("s0", ("a1",)): "s0", ("s0", ("a2",)): "s1",
+                 ("s1", ("a1",)): "s2", ("s2", ("a1",)): "s0"},
+        valuation={})
+    O = operator_evaluator(m)
+    for op in (Oc, Oalpha, Obeta):
+        with pytest.raises(InputError, match=r"^outcome map is not total at s1$"):
+            O(op, frozenset("a"), frozenset(), m.full_bits, m.full_bits)
+        with pytest.raises(InputError, match=r"^outcome map is not total at s1$"):
+            holds(m, "s0", op(frozenset(), frozenset("a"), TOP, p))

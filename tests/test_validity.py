@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from constr.corpus import embedded_falsifier
-from constr.formula import parse_formula
+from constr.formula import Obeta, implies, parse_formula
 from constr.model import InputError, validate_model
 from constr.semantics import holds
 from constr.textio import render_model
@@ -14,11 +14,14 @@ from constr.validity import (
     EXPECTED_VALID_TAGS,
     SCHEMES,
     GeneratorBounds,
+    Scheme,
     SuiteConfig,
+    axiom_substitutions,
     check_scheme,
     enumerate_models,
     model_count,
     random_model,
+    rule_substitutions,
     run_suite,
     verify_counterexample,
 )
@@ -128,7 +131,7 @@ def test_constr1_over_random_family():
 
 
 def _refuted_by_oracle(cx):
-    # verify_counterexample reads operator results the sweep cached; the
+    # verify_counterexample reads the kernel tables the sweep built; the
     # brute-force oracle shares nothing with the engine
     return not brute_holds(cx.model, cx.state, cx.formula)
 
@@ -159,6 +162,47 @@ def test_every_counterexample_reverifies():
     if verdict.found:
         assert verify_counterexample(verdict.counterexample)
         assert _refuted_by_oracle(verdict.counterexample)
+
+
+def _stream(shape, first_seed, count):
+    return [random_model(GeneratorBounds(*shape), first_seed + i) for i in range(count)]
+
+
+def _forward_condition_sweep(O, coalitions, P, P2, Q, Q2, full):
+    # the reactive operator read as monotone in its condition: not a
+    # valid rule, so the sweep reports instances
+    if P & ~P2 or Q & ~Q2:
+        return None
+    for a in coalitions:
+        for b in coalitions:
+            bad = O(Obeta, a, b, P, Q) & ~O(Obeta, a, b, P2, Q2)
+            if bad:
+                return (a, b), bad
+    return None
+
+
+def test_stress_sweeps_report_the_first_instance_in_order():
+    # expected values recorded from the sweep that evaluated every
+    # substitution, before repeated argument sets were skipped
+    verdict = check_scheme(SCHEMES["ObAntiMon"], _stream((2, 2, 2), 300, 300),
+                           axiom_substitutions(True))
+    assert verdict.models_tried == 13
+    assert verdict.counterexample.state == "s1"
+    assert verdict.counterexample.instance == "A={} B={a} C={b} phi=~(~p & ~~q) psi=p"
+    assert _refuted_by_oracle(verdict.counterexample)
+
+    verdict = check_scheme(SCHEMES["RuleObMon"], _stream((2, 2, 2), 300, 40),
+                           rule_substitutions(True))
+    assert (verdict.models_tried, verdict.found) == (40, False)
+
+    forward = Scheme("ObCondMon", "rule", False, "reactive ability read as monotone "
+                     "in the condition", _forward_condition_sweep,
+                     lambda A, B, p, p2, q, q2: implies(Obeta(A, B, p, q), Obeta(A, B, p2, q2)))
+    verdict = check_scheme(forward, _stream((2, 3, 2), 300, 300), rule_substitutions(True))
+    assert verdict.models_tried == 1
+    assert verdict.counterexample.state == "s0"
+    assert verdict.counterexample.instance == "A={} B={} phi=p phi'=~(~p & ~~q) psi=p psi'=p"
+    assert _refuted_by_oracle(verdict.counterexample)
 
 
 def test_valid_schemes_on_sliced_family():
