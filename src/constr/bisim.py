@@ -16,15 +16,21 @@ embedded models) usable.
 Both greatest bisimulations are computed by block refinement: the
 coalition-logic one from the partition by atom valuation, the
 conditional one from the coalition-logic classes, which contain it.
+Each refinement logs, for every split, the first clause failing between
+the new groups' representatives.  Distinguisher synthesis replays that
+log, reading each failing clause as one operator formula over the
+classes of its round, as in the Hennessy-Milner argument.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, or_
-from .model import Coalition, GameModel, InputError, State, coalitions, per_model
+from .model import (Coalition, GameModel, InputError, JointAction, State, coalitions,
+                    per_model)
 from .semantics import extension_bits, holds, strategic_states_bits
 
 Relation = frozenset
@@ -33,6 +39,8 @@ FAMILY_COOP = "c"
 FAMILY_PROACTIVE = "alpha"
 FAMILY_REACTIVE = "beta"
 ALL_FAMILIES = (FAMILY_COOP, FAMILY_PROACTIVE, FAMILY_REACTIVE)
+_CL = "cl"  # the coalition-logic clause, as a kind of failing clause
+_EMPTY = frozenset()
 
 # (Forth tag, Back tag) per condition family
 _FAMILY_TAGS = {
@@ -164,7 +172,8 @@ def _relation(model: GameModel, pairs):
 # joint action at s1 that cannot be matched.
 
 
-def _cl_clause(model, rel, s1, s2, c):
+def _cl_clause(model, rel, s1, s2, c, b=_EMPTY):
+    # b is always empty; it keeps the signature of the family clauses
     rev = rel[1]
     outs2 = model.out_bits_table(s2, c)
     for i1, o1 in enumerate(model.out_bits_table(s1, c)):
@@ -226,6 +235,7 @@ _FAMILY_CLAUSES = {
     FAMILY_PROACTIVE: _proactive_clause,
     FAMILY_REACTIVE: _reactive_clause,
 }
+_CLAUSES = {_CL: _cl_clause, **_FAMILY_CLAUSES}
 
 
 # -- checkers -------------------------------------------------------------
@@ -292,6 +302,18 @@ def check_constr_bisim(model: GameModel, relation,
 # -- greatest fixpoints ---------------------------------------------------
 
 
+class _Reason(NamedTuple):
+    """The first clause failing between two states: `kind` is _CL or a
+    condition family, `side` says which of the two states (0 or 1) holds
+    `witness`, its joint action that the other state cannot match."""
+
+    kind: str
+    a: Coalition
+    b: Coalition
+    side: int
+    witness: JointAction
+
+
 def _classes(states, key):
     """States grouped by key value, each group and the groups in state order."""
     groups: dict = {}
@@ -300,17 +322,29 @@ def _classes(states, key):
     return [tuple(g) for g in groups.values()]
 
 
-def _relation_classes(model: GameModel, relation):
-    """The classes of an equivalence relation over the model's states."""
-    idx = model.state_index
-    rows = dict.fromkeys(model.states, 0)
-    for s, t in relation:
-        rows[s] |= 1 << idx[t]
-    return _classes(model.states, rows.__getitem__)
+def _pair_fails(model: GameModel, tests):
+    """The refinement's pair test over the (kind, A, B) `tests` in order:
+    the _Reason of the first clause failing Forth or Back between s and
+    t, or None."""
+    tests = [(kind, _CLAUSES[kind], a, b) for kind, a, b in tests]
+
+    def fails(rel, s, t):
+        for kind, clause, a, b in tests:
+            witness = clause(model, rel, s, t, a, b)
+            if witness is not None:
+                return _Reason(kind, a, b, 0, witness)
+            witness = clause(model, rel, t, s, a, b)
+            if witness is not None:
+                return _Reason(kind, a, b, 1, witness)
+        return None
+
+    return fails
 
 
-def _greatest(model: GameModel, blocks, pair_fails) -> Relation:
-    """Refine the partition `blocks` until no clause is violated.
+def _greatest(model: GameModel, blocks, pair_fails):
+    """Refine the partition `blocks` until no clause is violated; return
+    the final blocks and the log of the splits, which is what
+    distinguisher synthesis replays.
 
     Each round relates two states when they share a block, so the cover
     check is the same in both directions and Forth and Back share one
@@ -320,6 +354,12 @@ def _greatest(model: GameModel, blocks, pair_fails) -> Relation:
     group yields exactly the next refinement.  The rounds stop when none
     splits a block.
 
+    The log has one entry per round that split a block: the round's
+    partition and, per split block, the block and its groups as
+    (states, reasons), where reasons[i] is the _Reason from
+    `pair_fails` separating the group's first state from the first
+    state of group i.
+
     A non-total outcome map raises InputError naming its first
     incomplete state in state order.
     """
@@ -327,6 +367,7 @@ def _greatest(model: GameModel, blocks, pair_fails) -> Relation:
         # the empty coalition's one outcome set covers every profile at s
         model.out_bits_table(s, frozenset())
     idx = model.state_index
+    log = []
     while True:
         rows = [0] * len(model.states)
         for block in blocks:
@@ -336,272 +377,209 @@ def _greatest(model: GameModel, blocks, pair_fails) -> Relation:
         check = _Cover(rows).check
         rel = (check, check)
         refined = []
+        splits = []
         for block in blocks:
             if len(block) < 2:
                 refined.append(block)
                 continue
-            groups: list[list[State]] = []
+            groups: list[tuple[list[State], list[_Reason]]] = []
             for s in block:
-                for group in groups:
-                    if not pair_fails(rel, group[0], s):
-                        group.append(s)
+                reasons = []
+                for members, _ in groups:
+                    reason = pair_fails(rel, members[0], s)
+                    if reason is None:
+                        members.append(s)
                         break
+                    reasons.append(reason)
                 else:
-                    groups.append([s])
-            refined.extend(tuple(g) for g in groups)
-        if len(refined) == len(blocks):
-            break
+                    groups.append(([s], reasons))
+            refined.extend(tuple(members) for members, _ in groups)
+            if len(groups) > 1:
+                splits.append((block, groups))
+        if not splits:
+            return blocks, log
+        log.append((blocks, splits))
         blocks = refined
+
+
+def _equivalence(blocks) -> Relation:
     return frozenset((s, t) for block in blocks for s in block for t in block)
+
+
+@per_model
+def _cl_refinement(model: GameModel):
+    fails = _pair_fails(model, [(_CL, c, _EMPTY) for c in coalitions(model.agents)])
+    return _greatest(model, _classes(model.states, _labels(model).__getitem__), fails)
+
+
+@per_model
+def _constr_refinement(model: GameModel):
+    # every such bisimulation is a coalition-logic one (the coop clause
+    # at coalitions (c, {}) implies the CL clause at c), so the
+    # refinement starts from the classes of the greatest CL bisimulation
+    pairs = _coalition_pairs(model.agents, disjoint_only=True)
+    fails = _pair_fails(model, [(f, a, b) for a, b in pairs for f in ALL_FAMILIES])
+    return _greatest(model, _cl_refinement(model)[0], fails)
 
 
 @per_model
 def greatest_cl_bisim(model: GameModel) -> Relation:
     """Largest coalition-logic bisimulation in the model."""
-    subsets = coalitions(model.agents)
-
-    def fails(rel, s, t):
-        for c in subsets:
-            if (_cl_clause(model, rel, s, t, c) is not None
-                    or _cl_clause(model, rel, t, s, c) is not None):
-                return True
-        return False
-
-    blocks = _classes(model.states, _labels(model).__getitem__)
-    return _greatest(model, blocks, fails)
+    return _equivalence(_cl_refinement(model)[0])
 
 
 @per_model
 def greatest_constr_bisim(model: GameModel) -> Relation:
-    """Largest bisimulation for the full conditional language.
-
-    Every such bisimulation is a coalition-logic one (the coop clause at
-    coalitions (c, {}) implies the CL clause at c), so the refinement
-    starts from the classes of the greatest CL bisimulation.
-    """
-    coalition_pairs = _coalition_pairs(model.agents, disjoint_only=True)
-    clauses = [_FAMILY_CLAUSES[f] for f in ALL_FAMILIES]
-
-    def fails(rel, s, t):
-        for a, b in coalition_pairs:
-            for clause in clauses:
-                if (clause(model, rel, s, t, a, b) is not None
-                        or clause(model, rel, t, s, a, b) is not None):
-                    return True
-        return False
-
-    blocks = _relation_classes(model, greatest_cl_bisim(model))
-    return _greatest(model, blocks, fails)
+    """Largest bisimulation for the full conditional language."""
+    return _equivalence(_constr_refinement(model)[0])
 
 
 # -- distinguishing formulas ----------------------------------------------
 
 
 class SynthesisError(RuntimeError):
-    """The synthesizer could not separate a pair the fixpoint says is
-    separable (or separated a pair it says is not)."""
+    """A split of the refinement log could not be turned into a formula
+    separating its two states."""
 
 
-class _Synthesizer:
-    """Partition refinement where every split is justified by a concrete
-    formula, evaluated set-level and memoized through the semantics cache.
+# the operator each kind of failing clause is read as; the CL clause at
+# c fails exactly where some <c>U = Oc[c,{}](U, U) tells the states apart
+_OPERATORS = {_CL: Oc, FAMILY_COOP: Oc, FAMILY_PROACTIVE: Oalpha, FAMILY_REACTIVE: Obeta}
 
-    Candidate arguments are unions of current classes: primarily closures
-    of outcome sets of the block's own joint actions, with an exhaustive
-    union sweep as fallback.  Each recorded split formula's extension is
-    asserted against the set used to split, so the table stays honest.
-    """
 
-    _WIDE_LIMIT = 8  # classes; 2^k unions is the fallback search space
+def _literal_pool(model: GameModel) -> dict:
+    """Extension bits -> the first of true, false, the atom literals and
+    their pairwise conjunctions and disjunctions having them."""
+    full = model.full_bits
+    literals = [(TOP, full), (bottom(), 0)]
+    for atom in model.atoms:
+        bits = model.atom_bits[atom]
+        literals.append((Atom(atom), bits))
+        literals.append((Not(Atom(atom)), full ^ bits))
+    pool: dict = {}
+    for f, b in literals:
+        pool.setdefault(b, f)
+    for (f1, b1), (f2, b2) in itertools.combinations(literals, 2):
+        pool.setdefault(b1 & b2, And(f1, f2))
+        pool.setdefault(b1 | b2, or_(f1, f2))
+    return pool
 
-    def __init__(self, model: GameModel):
-        self.model = model
-        self.ops = (Oc, Oalpha, Obeta)
-        self.coalition_pairs = _coalition_pairs(model.agents, disjoint_only=True)
-        sig = _labels(model)
-        self.blocks = _classes(model.states, sig.__getitem__)
-        self.dist: dict[tuple, Formula] = {}
-        self._literals = self._literal_pool()
-        for b1 in self.blocks:
-            for b2 in self.blocks:
-                if b1 != b2:
-                    self.dist[(b1, b2)] = self._atom_split(sig, b1, b2)
 
-    # - initial atom distinguishers -
-
-    def _atom_split(self, sig, b1, b2) -> Formula:
-        s1, s2 = sig[b1[0]], sig[b2[0]]
-        plus = sorted(s1 - s2)
-        if plus:
-            return Atom(plus[0])
-        minus = sorted(s2 - s1)
-        return Not(Atom(minus[0]))
-
-    def _literal_pool(self):
-        model = self.model
-        full = model.full_bits
-        pool = [(TOP, full), (bottom(), 0)]
-        for atom in model.atoms:
-            bits = model.atom_bits[atom]
-            pool.append((Atom(atom), bits))
-            pool.append((Not(Atom(atom)), full ^ bits))
-        return pool
-
-    # - class formulas -
-
-    def _gamma(self, block) -> Formula:
-        others = [b for b in self.blocks if b != block]
-        if not others:
-            return TOP
-        f = self.dist[(block, others[0])]
-        for other in others[1:]:
-            f = And(f, self.dist[(block, other)])
-        return f
-
-    def _block_bits(self, block) -> int:
-        return self.model.bits_of(block)
-
-    def _closure(self, bits: int) -> int:
-        mask = 0
-        for block in self.blocks:
-            bb = self._block_bits(block)
-            if bb & bits:
-                mask |= bb
-        return mask
-
-    def _materialize(self, bits: int) -> Formula:
-        """A formula whose extension is exactly `bits` (a union of classes)."""
-        for f, b in self._literals:
-            if b == bits:
-                return f
-        for (f1, b1), (f2, b2) in itertools.combinations(self._literals, 2):
-            if b1 & b2 == bits:
-                return And(f1, f2)
-            if b1 | b2 == bits:
-                return or_(f1, f2)
-        parts = [self._gamma(b) for b in self.blocks if self._block_bits(b) & bits]
-        f = parts[0]
-        for part in parts[1:]:
-            f = or_(f, part)
-        got = extension_bits(self.model, f)
-        if got != bits:
-            raise SynthesisError("materialized class union drifted from its set")
-        return f
-
-    # - candidate enumeration -
-
-    def _pools(self, block, a, b):
-        model = self.model
-        seen_u, seen_w = [], []
-
-        def add(pool, bits):
-            if bits not in pool:
-                pool.append(bits)
-
-        for s in block:
-            for o in model.out_bits_table(s, a):
-                add(seen_u, self._closure(o))
-            for row in model.merged_out_bits(s, a, b):
-                for o in row:
-                    add(seen_w, self._closure(o))
-        add(seen_u, model.full_bits)
-        add(seen_w, model.full_bits)
-        for bits in seen_u:
-            add(seen_w, bits)
-        return seen_u, seen_w
-
-    def _try_split(self, block, candidates):
-        block_bits = self._block_bits(block)
-        for op, a, b, u, w in candidates:
-            bits = strategic_states_bits(self.model, op, a, b, u, w)
-            inside = bits & block_bits
-            if inside and inside != block_bits:
-                theta = op(a, b, self._materialize(u), self._materialize(w))
-                got = extension_bits(self.model, theta)
-                if got != bits:
-                    raise SynthesisError("split formula drifted from its set evaluation")
-                return theta, bits
-        return None
-
-    def _narrow_candidates(self, block):
-        for a, b in self.coalition_pairs:
-            pool_u, pool_w = self._pools(block, a, b)
-            for op in self.ops:
-                for u in pool_u:
-                    for w in pool_w:
-                        yield op, a, b, u, w
-
-    def _wide_candidates(self, block):
-        if len(self.blocks) > self._WIDE_LIMIT:
-            return
-        block_masks = [self._block_bits(b) for b in self.blocks]
-        unions = [0]
-        for mask in block_masks:
-            unions += [u | mask for u in unions]
-        unions.sort(key=lambda u: (bin(u).count("1"), u))
-        for a, b in self.coalition_pairs:
-            for op in self.ops:
-                for u in unions:
-                    for w in unions:
-                        yield op, a, b, u, w
-
-    # - refinement -
-
-    def _split_block(self, block, theta, bits):
-        idx = self.model.state_index
-        inside = tuple(s for s in block if bits >> idx[s] & 1)
-        outside = tuple(s for s in block if not bits >> idx[s] & 1)
-        new_dist = {}
-        for (b1, b2), f in self.dist.items():
-            n1 = (inside, outside) if b1 == block else (b1,)
-            n2 = (inside, outside) if b2 == block else (b2,)
-            for x in n1:
-                for y in n2:
-                    new_dist[(x, y)] = f
-        new_dist[(inside, outside)] = theta
-        new_dist[(outside, inside)] = Not(theta)
-        self.dist = new_dist
-        self.blocks = sorted(
-            [b for b in self.blocks if b != block] + [inside, outside],
-            key=lambda b: idx[b[0]])
-
-    def refine(self, target: Relation):
-        """Split blocks until the partition matches the target equivalence."""
-        while True:
-            split_done = False
-            for block in list(self.blocks):
-                if len(block) < 2:
-                    continue
-                found = self._try_split(block, self._narrow_candidates(block))
-                if found is None and any((s, t) not in target
-                                         for s in block for t in block):
-                    found = self._try_split(block, self._wide_candidates(block))
-                if found is not None:
-                    self._split_block(block, *found)
-                    split_done = True
-                    break
-            if not split_done:
-                return
-
-    def table(self):
-        block_of = {s: b for b in self.blocks for s in b}
-        return block_of, self.dist
+def _atom_literal(labels, s, t) -> Formula:
+    plus = sorted(labels[s] - labels[t])
+    if plus:
+        return Atom(plus[0])
+    return Not(Atom(min(labels[t] - labels[s])))
 
 
 @per_model
 def _synthesis_table(model: GameModel):
-    target = greatest_constr_bisim(model)
-    synth = _Synthesizer(model)
-    synth.refine(target)
-    block_of, dist = synth.table()
-    for s in model.states:
-        for t in model.states:
-            same_block = block_of[s] is block_of[t]
-            related = (s, t) in target
-            if same_block != related:
-                raise SynthesisError(
-                    f"partition disagrees with the greatest bisimulation at ({s}, {t})")
-    return block_of, dist
+    """Replay the refinement: the split by atoms, then the logged CL and
+    ConStR rounds.
+
+    Each split of a block into groups comes with one formula per pair of
+    groups, true on one and false on the other.  It is built over the
+    partition of its round, whose class formulas are the arguments'
+    building blocks: a group's class formula is its block's conjoined
+    with its formulas against the sibling groups.  States one round
+    keeps together satisfy the same operator formulas over unions of
+    that round's classes, so each formula holds on whole groups.  The
+    result maps every state to its final block's index, and each ordered
+    pair of final blocks to the formula of their lowest common split.
+    """
+    final, constr_log = _constr_refinement(model)
+    block_of = {s: i for i, block in enumerate(final) for s in block}
+    idx = model.state_index
+    pool = _literal_pool(model)
+    labels = _labels(model)
+    class_of = dict.fromkeys(model.states, TOP)
+    table: dict[tuple[int, int], Formula] = {}
+
+    def enter(block, groups, between):
+        """Enter the split of `block` into `groups`, where between[i][j]
+        is true on group i and false on group j."""
+        leaves = [dict.fromkeys(block_of[s] for s in g) for g in groups]
+        for i, row in enumerate(between):
+            for j, f in row.items():
+                for x in leaves[i]:
+                    for y in leaves[j]:
+                        table[x, y] = f
+        formulas = []
+        for row in between:
+            f = class_of[block[0]]
+            for g in dict.fromkeys(row.values()):
+                f = g if f is TOP else And(f, g)
+            formulas.append(f)
+        for g, f in zip(groups, formulas):
+            for s in g:
+                class_of[s] = f
+
+    atom_classes = _classes(model.states, labels.__getitem__)
+    enter(model.states, atom_classes,
+          [{j: _atom_literal(labels, gi[0], gj[0]) for j, gj in enumerate(atom_classes) if j != i}
+           for i, gi in enumerate(atom_classes)])
+
+    for partition, splits in _cl_refinement(model)[1] + constr_log:
+        classes = [(model.bits_of(b), class_of[b[0]]) for b in partition]
+        known = dict(pool)
+
+        def closure(bits):
+            mask = 0
+            for class_bits, _ in classes:
+                if class_bits & bits:
+                    mask |= class_bits
+            return mask
+
+        def materialize(bits):
+            f = known.get(bits)
+            if f is None:
+                for class_bits, g in classes:
+                    if class_bits & bits:
+                        f = g if f is None else or_(f, g)
+                known[bits] = f
+            return f
+
+        def separate(reason, x, y):
+            """A formula over this round's classes, true at x, false at y."""
+            op = _OPERATORS[reason.kind]
+            a, b = reason.a, reason.b
+            ix, iy = idx[x], idx[y]
+
+            def differ(bits):
+                return (bits >> ix ^ bits >> iy) & 1
+
+            if reason.kind == _CL:
+                u = materialize(closure(model.out_bits(reason.witness)))
+                f = op(a, b, u, u)
+            else:
+                pool_u = list(dict.fromkeys(
+                    [closure(o) for s in (x, y) for o in model.out_bits_table(s, a)]
+                    + [model.full_bits]))
+                pool_w = list(dict.fromkeys(
+                    [closure(o) for s in (x, y) for row in model.merged_out_bits(s, a, b)
+                     for o in row] + pool_u))
+                found = next(((u, w) for u in pool_u for w in pool_w
+                              if differ(strategic_states_bits(model, op, a, b, u, w))), None)
+                if found is None:
+                    raise SynthesisError(
+                        f"no {op.token} formula at A={{{','.join(sorted(a))}}} "
+                        f"B={{{','.join(sorted(b))}}} separates ({x}, {y})")
+                f = op(a, b, materialize(found[0]), materialize(found[1]))
+            bits = extension_bits(model, f)
+            if not differ(bits):
+                raise SynthesisError(f"split formula fails to separate ({x}, {y})")
+            return f if bits >> ix & 1 else Not(f)
+
+        for block, groups in splits:
+            between = [{} for _ in groups]
+            for j, (members, reasons) in enumerate(groups):
+                for i, reason in enumerate(reasons):
+                    f = separate(reason, groups[i][0][0], members[0])
+                    between[i][j] = f
+                    between[j][i] = Not(f)
+            enter(block, [members for members, _ in groups], between)
+
+    return block_of, table
 
 
 def distinguishing_formula(model: GameModel, s: State, t: State) -> Formula | None:
@@ -613,8 +591,8 @@ def distinguishing_formula(model: GameModel, s: State, t: State) -> Formula | No
             raise InputError(f"unknown state {x!r}")
     if (s, t) in greatest_constr_bisim(model):
         return None
-    block_of, dist = _synthesis_table(model)
-    f = dist[(block_of[s], block_of[t])]
+    block_of, table = _synthesis_table(model)
+    f = table[block_of[s], block_of[t]]
     if not holds(model, s, f) or holds(model, t, f):
         raise SynthesisError(f"synthesized formula fails to distinguish ({s}, {t})")
     return f

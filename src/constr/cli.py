@@ -164,7 +164,7 @@ def distinguish(model_path, state_s, state_t, as_json):
     model = _load_model(model_path)
     try:
         f = bisim_mod.distinguishing_formula(model, state_s, state_t)
-    except InputError as exc:
+    except (InputError, bisim_mod.SynthesisError) as exc:
         _fail_input(str(exc))
     if as_json:
         click.echo(jsonlib.dumps({

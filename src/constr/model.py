@@ -195,20 +195,22 @@ class GameModel:
         return {}
 
     def _profile_masks(self, state: State):
-        """Per (agent, action): bitmask over profile indices playing it,
-        plus the all-profiles mask.  Depends on availability only."""
+        """Per available (agent, action): bitmask over profile indices
+        playing it, plus the all-profiles mask.  Depends on availability
+        only.  Where some agent has no action there is no profile, and
+        every action's mask is 0."""
         cached = self._mask_cache.get(state)
         if cached is not None:
             return cached
         if state not in self.state_index:
             raise InputError(f"unknown state {state!r}")
         profiles = self.profiles(state)
-        masks: dict[tuple[Agent, Action], int] = {}
+        masks: dict[tuple[Agent, Action], int] = {
+            (a, act): 0 for a in self.agents for act in self.avail.get((state, a), ())}
         for j, profile in enumerate(profiles):
             bit = 1 << j
             for i, a in enumerate(self.agents):
-                key = (a, profile[i])
-                masks[key] = masks.get(key, 0) | bit
+                masks[a, profile[i]] |= bit
         result = (masks, (1 << len(profiles)) - 1)
         self._mask_cache[state] = result
         return result

@@ -12,7 +12,7 @@ from constr.semantics import extension_bits, holds
 from constr.textio import parse_model
 from constr.validity import GeneratorBounds, random_model
 
-from oracles import exhaustive_greatest
+from oracles import brute_holds, exhaustive_greatest
 
 
 def identity_relation(model):
@@ -314,8 +314,17 @@ def test_irregular_action_counts():
 
 
 def test_distinguishers_on_random_models():
-    for i in range(25):
-        m = random_model(GeneratorBounds(agents=2, states=4, actions=2), 8800 + i)
+    # exA/exB/exC have pairs that the conditional clauses split and the
+    # coalition-logic ones do not, so they exercise the family search;
+    # every formula there is also confirmed by the brute-force oracle.
+    # The self-union is perfbench's 20-state `union.a2s10/6` job; its
+    # formulas are too deep for the oracle, so `holds` confirms them.
+    brute = [fixture_model(name) for name in ("exA", "exB", "exC")]
+    brute += [random_model(GeneratorBounds(agents=2, states=4, actions=2), 8800 + i)
+              for i in range(25)]
+    base = random_model(GeneratorBounds(2, 10, 2, ("p",)), 2_000_000 + 20_000 + 1_000 + 6)
+    cliff = disjoint_union(base, base, "l", "r")
+    for m in brute + [cliff]:
         rel = bisim.greatest_constr_bisim(m)
         for s in m.states:
             for t in m.states:
@@ -323,3 +332,5 @@ def test_distinguishers_on_random_models():
                 assert (f is None) == ((s, t) in rel)
                 if f is not None:
                     assert holds(m, s, f) and not holds(m, t, f)
+                    if m is not cliff:
+                        assert brute_holds(m, s, f) and not brute_holds(m, t, f), (s, t, f)

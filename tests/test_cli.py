@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from constr import bisim
 from constr.cli import main
 from constr.corpus import fixture_text
 from constr.textio import parse_relation
@@ -108,6 +109,17 @@ def test_distinguish(runner, workdir):
     assert r.exit_code == 1 and r.output.strip() == "bisimilar"
     r = runner.invoke(main, ["distinguish", exa, "s0", "zz"])
     assert r.exit_code == 2
+
+
+def test_distinguish_synthesis_error_exits_2(runner, workdir, monkeypatch):
+    def fail(model, s, t):
+        raise bisim.SynthesisError("no formula separates (s0, t0)")
+
+    monkeypatch.setattr(bisim, "distinguishing_formula", fail)
+    r = runner.invoke(main, ["distinguish", str(workdir / "exA.cgm"), "s0", "t0"])
+    assert r.exit_code == 2
+    assert "error: no formula separates (s0, t0)" in r.output
+    assert "Traceback" not in r.output and not isinstance(r.exception, bisim.SynthesisError)
 
 
 def test_corpus_command(runner):

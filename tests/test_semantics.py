@@ -19,7 +19,13 @@ from constr.formula import (
     random_formula,
 )
 from constr.model import GameModel, InputError
-from constr.semantics import extension, holds, holds_via_b_minus_a, operator_evaluator
+from constr.semantics import (
+    explain,
+    extension,
+    holds,
+    holds_via_b_minus_a,
+    operator_evaluator,
+)
 from constr.validity import GeneratorBounds, random_model
 
 from oracles import brute_holds, brute_operator_states
@@ -264,3 +270,14 @@ def test_operator_evaluator_names_first_state_without_outcome():
             O(op, frozenset("a"), frozenset(), m.full_bits, m.full_bits)
         with pytest.raises(InputError, match=r"^outcome map is not total at s1$"):
             holds(m, "s0", op(frozenset(), frozenset("a"), TOP, p))
+
+
+def test_agent_without_actions_answers_everywhere():
+    # b has no action at s0, so no profile exists and a1 is played by none
+    m = GameModel(agents=("a", "b"), states=("s0",),
+                  avail={("s0", "a"): ("a1",), ("s0", "b"): ()},
+                  outcome={}, valuation={"p": frozenset({"s0"})})
+    f = Oc(frozenset("a"), frozenset("b"), p, p)
+    assert holds(m, "s0", f) is False
+    assert explain(m, "s0", f).value is False
+    assert holds_via_b_minus_a(m, "s0", f) is False
