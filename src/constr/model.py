@@ -431,10 +431,7 @@ def validate_model(model: GameModel) -> list[Violation]:
                     "empty action set", "every agent needs at least one action", state=s, agent=a))
 
     # outcome entries must sit exactly on the availability product
-    product: dict[State, set[tuple[Action, ...]]] = {}
-    for s in model.states:
-        pools = [model.avail.get((s, a), ()) for a in model.agents]
-        product[s] = set(itertools.product(*pools)) if all(pools) else set()
+    product = {s: set(model.profiles(s)) for s in model.states}
 
     for (s, profile), target in model.outcome.items():
         if s not in states:
@@ -449,9 +446,8 @@ def validate_model(model: GameModel) -> list[Violation]:
                 "unknown target", f"outcome leads to undeclared state {target!r}", state=s, profile=profile))
 
     for s in model.states:
-        for profile in sorted(product[s]):
-            if (s, profile) not in model.outcome:
-                report.append(Violation("outcome not total", "no successor for profile", state=s, profile=profile))
+        for profile in sorted(p for p in product[s] if (s, p) not in model.outcome):
+            report.append(Violation("outcome not total", "no successor for profile", state=s, profile=profile))
 
     for atom, ss in model.valuation.items():
         for s in sorted(ss):

@@ -5,14 +5,21 @@ memoization at the model level, and every strategic operator goes
 through the model's one operator evaluator.  It keeps one kernel table
 per (operator kind, acting coalition, responders): the distinct outcome
 signatures of the joint actions, with the states showing each, so one
-application is one pass over those signatures.  State sets travel as
-bitmasks internally; the public API speaks frozensets of state names.
+application is one pass over those signatures.  A table is built in one
+pass over each state's profiles, through a projection of profile
+indices onto (actor, responder) joint-action cells that is cached per
+availability shape (the tuple of per-agent action counts at a state).
+State sets travel as bitmasks internally; the public API speaks
+frozensets of state names.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from math import prod
+from operator import or_
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top, formula_agents
 from .model import Coalition, GameModel, InputError, State, per_model
@@ -30,13 +37,30 @@ def _subset(x: int, y: int) -> bool:
     return x & ~y == 0
 
 
-def _joint_masks(model: GameModel, state: State, members, masks, full) -> list[int]:
-    """Profile-index mask of every joint action of the members at a state."""
-    joint = [full]
-    for agent in members:
-        joint = [m & masks.get((agent, act), 0)
-                 for m in joint for act in model.avail.get((state, agent), ())]
-    return joint
+@lru_cache(maxsize=None)
+def _cell_projection(shape: tuple[int, ...], actors: tuple[int, ...],
+                     responders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """The cell layout of one availability shape (the per-agent action
+    counts at a state) for the agents at the given positions: the numbers
+    of actor and of responder joint actions, and for every profile index
+    the index of its (actor joint action, responder joint action) cell,
+    row-major.  Joint actions and profiles are numbered in mixed radix
+    with the first agent most significant, as itertools.product does."""
+    n_a = prod(shape[i] for i in actors)
+    n_r = prod(shape[i] for i in responders)
+    weights = [0] * len(shape)
+    stride = 1
+    for i in reversed(responders):
+        weights[i] = stride
+        stride *= shape[i]
+    stride = n_r
+    for i in reversed(actors):
+        weights[i] = stride
+        stride *= shape[i]
+    cells = [0]
+    for size, weight in zip(shape, weights):
+        cells = [c + d * weight for c in cells for d in range(size)]
+    return n_a, n_r, tuple(cells)
 
 
 def _minimal(masks) -> tuple[int, ...]:
@@ -52,34 +76,42 @@ def _minimal(masks) -> tuple[int, ...]:
     return tuple(keep)
 
 
-def _kernel_table(model: GameModel, proactive: bool, a: Coalition, r: Coalition) -> list:
+def _kernel_table(model: GameModel, shapes, proactive: bool, a: Coalition,
+                  r: Coalition) -> list:
     """Distinct outcome signatures of one (operator kind, a, r), each with
     the bitmask of the states that show it; r is the responder coalition
-    stripped of a.
+    stripped of a, and shapes holds each state's availability shape.
 
-    Oc and Obeta share the entries
+    Each state takes one pass over its profiles: every successor is ORed
+    into the profile's (sigma_a, sigma_r) cell, and a row's outcome is the
+    OR of its cells.  Oc and Obeta share the entries
     ((sigma_a outcome, minimal merged outcomes over sigma_b), states): a
     sigma_b secures a goal exactly when some minimal merged outcome lies
     inside it.  Oalpha reads one entry per sigma_b column:
     (frozenset of (sigma_a outcome, merged outcome) pairs, states).
     """
-    actors = [ag for ag in model.agents if ag in a]
-    responders = [ag for ag in model.agents if ag in r]
-    collect = model._collect_out
+    position = model.agent_index
+    actors = tuple(sorted(position[ag] for ag in a))
+    responders = tuple(sorted(position[ag] for ag in r))
     signatures: dict = {}
-    for i, s in enumerate(model.states):
-        masks, full = model._profile_masks(s)
-        rows = [(pa, collect(s, pa)) for pa in _joint_masks(model, s, actors, masks, full)]
-        responses = _joint_masks(model, s, responders, masks, full)
+    bit = 1
+    for s, shape in zip(model.states, shapes):
+        n_a, n_r, cells = _cell_projection(shape, actors, responders)
+        succ = model._succ_bits(s)
+        if None in succ:
+            raise InputError(f"outcome map is not total at {s}")
+        merged = [0] * (n_a * n_r)
+        for c, sb in zip(cells, succ):
+            merged[c] |= sb
+        rows = [merged[k * n_r:(k + 1) * n_r] for k in range(n_a)]
+        outs_a = [reduce(or_, row, 0) for row in rows]
         if proactive:
-            sigs = [frozenset((out_a, collect(s, pa & pb)) for pa, out_a in rows)
-                    for pb in responses]
+            sigs = [frozenset(zip(outs_a, merged[k::n_r])) for k in range(n_r)]
         else:
-            sigs = [(out_a, _minimal(collect(s, pa & pb) for pb in responses))
-                    for pa, out_a in rows]
-        bit = 1 << i
+            sigs = [(out_a, _minimal(row)) for out_a, row in zip(outs_a, rows)]
         for sig in sigs:
             signatures[sig] = signatures.get(sig, 0) | bit
+        bit <<= 1
     return list(signatures.items())
 
 
@@ -98,6 +130,8 @@ def operator_evaluator(model: GameModel):
     """
     tables: dict = {}
     full = model.full_bits
+    shapes = [tuple(len(model.avail.get((s, ag), ())) for ag in model.agents)
+              for s in model.states]
     # the evaluator is kept with the model, so a strong reference would
     # make a cycle that only the cyclic garbage collector can free
     model_ref = weakref.ref(model)
@@ -112,7 +146,7 @@ def operator_evaluator(model: GameModel):
             # only b - a responds, the acting coalition winning the overlap
             table = tables.get((proactive, a, b - a))
             if table is None:
-                table = _kernel_table(model_ref(), proactive, a, b - a)
+                table = _kernel_table(model_ref(), shapes, proactive, a, b - a)
                 tables[proactive, a, b - a] = table
             tables[key] = table
         outside_cond = ~cond_bits
@@ -191,31 +225,47 @@ def _extension_memo(model: GameModel) -> dict:
 
 
 def extension_bits(model: GameModel, f: Formula) -> int:
-    """Bitmask of the states satisfying `f`; memoized per model."""
+    """Bitmask of the states satisfying `f`; memoized per model.
+
+    A miss is evaluated in post-order from an explicit stack, so the
+    nesting depth a formula may have is bounded by memory, not by the
+    interpreter's recursion limit.
+    """
     memo = _extension_memo(model)
     hit = memo.get(f)
     if hit is not None:
         return hit
-    if isinstance(f, Atom):
-        bits = model.atom_bits.get(f.name, 0)
-    elif isinstance(f, Top):
-        bits = model.full_bits
-    elif isinstance(f, Not):
-        bits = model.full_bits ^ extension_bits(model, f.sub)
-    elif isinstance(f, And):
-        bits = extension_bits(model, f.left) & extension_bits(model, f.right)
-    elif isinstance(f, Strategic):
-        unknown = (f.a | f.b) - set(model.agents)
-        if unknown:
-            raise InputError(
-                f"formula names agents {sorted(unknown)} not present in the model")
-        cond = extension_bits(model, f.phi)
-        goal = extension_bits(model, f.psi)
-        bits = strategic_states_bits(model, type(f), f.a, f.b, cond, goal)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[f] = bits
-    return bits
+    agents = frozenset(model.agents)
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            if isinstance(g, Not):
+                memo[g] = model.full_bits ^ memo[g.sub]
+            elif isinstance(g, And):
+                memo[g] = memo[g.left] & memo[g.right]
+            else:
+                memo[g] = strategic_states_bits(model, type(g), g.a, g.b,
+                                                memo[g.phi], memo[g.psi])
+        elif g in memo:
+            continue
+        elif isinstance(g, Atom):
+            memo[g] = model.atom_bits.get(g.name, 0)
+        elif isinstance(g, Top):
+            memo[g] = model.full_bits
+        elif isinstance(g, Not):
+            stack += ((g, True), (g.sub, False))
+        elif isinstance(g, And):
+            stack += ((g, True), (g.right, False), (g.left, False))
+        elif isinstance(g, Strategic):
+            unknown = (g.a | g.b) - agents
+            if unknown:
+                raise InputError(
+                    f"formula names agents {sorted(unknown)} not present in the model")
+            stack += ((g, True), (g.psi, False), (g.phi, False))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return memo[f]
 
 
 def extension(model: GameModel, f: Formula) -> Extension:

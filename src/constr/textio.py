@@ -24,14 +24,8 @@ def _fail(lineno: int, msg: str):
     raise ParseError(f"line {lineno}: {msg}")
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
-
-
 def parse_model(text: str) -> GameModel:
-    """Parse the textual model format.
+    """Parse the textual model format, in time linear in its length.
 
     Declaration lines (`agents:`, `states:`) must precede any use.
     Duplicate `labels`, `actions` or `go` lines for the same key are
@@ -40,12 +34,14 @@ def parse_model(text: str) -> GameModel:
     """
     agents: tuple[str, ...] | None = None
     states: tuple[str, ...] | None = None
+    agent_set: frozenset = frozenset()
+    state_set: frozenset = frozenset()
     avail: dict[tuple[str, str], tuple[str, ...]] = {}
     outcome: dict[tuple[str, tuple[str, ...]], str] = {}
     labels: dict[str, tuple[str, ...]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
 
@@ -55,7 +51,8 @@ def parse_model(text: str) -> GameModel:
             agents = tuple(line[len("agents:"):].split())
             if not agents:
                 _fail(lineno, "agents line declares no agents")
-            if len(set(agents)) != len(agents):
+            agent_set = frozenset(agents)
+            if len(agent_set) != len(agents):
                 _fail(lineno, "repeated agent name")
             continue
 
@@ -65,19 +62,37 @@ def parse_model(text: str) -> GameModel:
             states = tuple(line[len("states:"):].split())
             if not states:
                 _fail(lineno, "states line declares no states")
-            if len(set(states)) != len(states):
+            state_set = frozenset(states)
+            if len(state_set) != len(states):
                 _fail(lineno, "repeated state name")
             continue
 
         if agents is None or states is None:
             _fail(lineno, "agents: and states: must be declared first")
 
+        if line.startswith("go "):
+            m = _GO_RE.match(line)
+            if not m:
+                _fail(lineno, "expected 'go STATE (a1,b1,...) -> STATE'")
+            state, profile_text, target = m.groups()
+            if state not in state_set:
+                _fail(lineno, f"unknown state {state!r}")
+            if target not in state_set:
+                _fail(lineno, f"unknown state {target!r}")
+            profile = tuple(map(str.strip, profile_text.split(",")))
+            if len(profile) != len(agents) or "" in profile:
+                _fail(lineno, f"profile must list one action per agent ({len(agents)} expected)")
+            if (state, profile) in outcome:
+                _fail(lineno, f"duplicate go line for ({','.join(profile)}) at {state}")
+            outcome[(state, profile)] = target
+            continue
+
         if line.startswith("labels "):
             head, sep, rest = line[len("labels "):].partition(":")
             if not sep:
                 _fail(lineno, "labels line needs a ':'")
             state = head.strip()
-            if state not in states:
+            if state not in state_set:
                 _fail(lineno, f"unknown state {state!r}")
             if state in labels:
                 _fail(lineno, f"duplicate labels line for {state}")
@@ -92,9 +107,9 @@ def parse_model(text: str) -> GameModel:
             if len(parts) != 2:
                 _fail(lineno, "expected 'actions STATE AGENT: ...'")
             state, agent = parts
-            if state not in states:
+            if state not in state_set:
                 _fail(lineno, f"unknown state {state!r}")
-            if agent not in agents:
+            if agent not in agent_set:
                 _fail(lineno, f"unknown agent {agent!r}")
             if (state, agent) in avail:
                 _fail(lineno, f"duplicate actions line for {state} {agent}")
@@ -104,33 +119,16 @@ def parse_model(text: str) -> GameModel:
             avail[(state, agent)] = acts
             continue
 
-        if line.startswith("go "):
-            m = _GO_RE.match(line)
-            if not m:
-                _fail(lineno, "expected 'go STATE (a1,b1,...) -> STATE'")
-            state, profile_text, target = m.groups()
-            if state not in states:
-                _fail(lineno, f"unknown state {state!r}")
-            if target not in states:
-                _fail(lineno, f"unknown state {target!r}")
-            profile = tuple(p.strip() for p in profile_text.split(","))
-            if len(profile) != len(agents) or any(not p for p in profile):
-                _fail(lineno, f"profile must list one action per agent ({len(agents)} expected)")
-            if (state, profile) in outcome:
-                _fail(lineno, f"duplicate go line for ({','.join(profile)}) at {state}")
-            outcome[(state, profile)] = target
-            continue
-
         _fail(lineno, f"unrecognized line {line!r}")
 
     if agents is None or states is None:
         raise ParseError("model text must declare agents: and states:")
 
-    valuation: dict[str, frozenset] = {}
+    labelled: dict[str, list[str]] = {}
     for state, atoms in labels.items():
         for atom in atoms:
-            valuation.setdefault(atom, frozenset())
-            valuation[atom] |= {state}
+            labelled.setdefault(atom, []).append(state)
+    valuation = {atom: frozenset(ss) for atom, ss in labelled.items()}
 
     return GameModel(agents=agents, states=states, avail=avail,
                      outcome=outcome, valuation=valuation)
@@ -169,7 +167,7 @@ def parse_relation(text: str, model: GameModel | None = None) -> frozenset:
     """Parse `s ~ t` lines into a set of ordered state pairs."""
     pairs = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         parts = line.split("~")

@@ -58,6 +58,17 @@ def test_missing_outcome_reported():
                and v.profile == ("a2", "b1") for v in report)
 
 
+def test_missing_outcomes_reported_in_sorted_order():
+    # availability order is not sorted order: a2 and b3 are declared first
+    m = parse_model("agents: a b\nstates: s0 s1\n"
+                    "actions s0 a: a2 a1\nactions s0 b: b3 b2 b1\n"
+                    "actions s1 a: a1\nactions s1 b: b1\n"
+                    "go s0 (a2,b1) -> s1\n")
+    report = [(v.state, v.profile) for v in validate_model(m) if v.kind == "outcome not total"]
+    assert report == [("s0", ("a1", "b1")), ("s0", ("a1", "b2")), ("s0", ("a1", "b3")),
+                      ("s0", ("a2", "b2")), ("s0", ("a2", "b3")), ("s1", ("a1", "b1"))]
+
+
 def test_unavailable_profile_reported():
     text = fixture_text("ex1.cgm") + "go s1 (a9,b1) -> s1\n"
     m = parse_model(text)
