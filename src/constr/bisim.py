@@ -17,9 +17,14 @@ Both greatest bisimulations are computed by block refinement: the
 coalition-logic one from the partition by atom valuation, the
 conditional one from the coalition-logic classes, which contain it.
 Each refinement logs, for every split, the first clause failing between
-the new groups' representatives.  Distinguisher synthesis replays that
-log, reading each failing clause as one operator formula over the
-classes of its round, as in the Hennessy-Milner argument.
+the new groups' representatives.  Before any clause check, a round keys
+each state of a block by its availability shape and its successors'
+blocks; a state whose key already appeared joins that state's group
+without a check, since the clauses cannot tell such states apart, and
+neither the groups nor the log change (see _greatest).  Distinguisher
+synthesis replays that log, reading each failing clause as one operator
+formula over the classes of its round, as in the Hennessy-Milner
+argument.
 """
 
 from __future__ import annotations
@@ -360,13 +365,29 @@ def _greatest(model: GameModel, blocks, pair_fails):
     `pair_fails` separating the group's first state from the first
     state of group i.
 
+    Before any clause check, each state of a block gets a key for the
+    round: its availability shape (per-agent action counts) and the
+    block of its successor under every profile, in profile order.  A
+    state whose key already appeared in the block joins that state's
+    group unchecked; only the first state with each key is compared.
+    Groups and log are the ones comparing every state would give: every
+    table a clause reads is an OR of successor bits over profile groups
+    that the shape fixes, and each cover check compares only block
+    closures, so two states with equal keys get the same verdict against
+    every representative and satisfy every clause against each other.
+
     A non-total outcome map raises InputError naming its first
     incomplete state in state order.
     """
-    for s in model.states:
-        # the empty coalition's one outcome set covers every profile at s
-        model.out_bits_table(s, frozenset())
     idx = model.state_index
+    shapes = []
+    succ = []
+    for s in model.states:
+        bits = model._succ_bits(s)
+        if None in bits:
+            raise InputError(f"outcome map is not total at {s}")
+        shapes.append(tuple(len(model.avail.get((s, a), ())) for a in model.agents))
+        succ.append([b.bit_length() - 1 for b in bits])
     log = []
     while True:
         rows = [0] * len(model.states)
@@ -383,16 +404,23 @@ def _greatest(model: GameModel, blocks, pair_fails):
                 refined.append(block)
                 continue
             groups: list[tuple[list[State], list[_Reason]]] = []
+            group_of: dict = {}
             for s in block:
-                reasons = []
-                for members, _ in groups:
-                    reason = pair_fails(rel, members[0], s)
-                    if reason is None:
-                        members.append(s)
-                        break
-                    reasons.append(reason)
-                else:
-                    groups.append(([s], reasons))
+                i = idx[s]
+                key = (shapes[i], tuple(map(rows.__getitem__, succ[i])))
+                members = group_of.get(key)
+                if members is None:
+                    reasons = []
+                    for members, _ in groups:
+                        reason = pair_fails(rel, members[0], s)
+                        if reason is None:
+                            break
+                        reasons.append(reason)
+                    else:
+                        members = []
+                        groups.append((members, reasons))
+                    group_of[key] = members
+                members.append(s)
             refined.extend(tuple(members) for members, _ in groups)
             if len(groups) > 1:
                 splits.append((block, groups))

@@ -1,13 +1,14 @@
 """Bisimulation checkers, greatest fixpoints and distinguishing formulas."""
 
+import itertools
 import random
 
 import pytest
 
 from constr import bisim
 from constr.corpus import corpus_models, fixture_model, fixture_relation
-from constr.formula import random_formula
-from constr.model import InputError, disjoint_union
+from constr.formula import parse_formula, random_formula
+from constr.model import GameModel, InputError, coalitions, disjoint_union
 from constr.semantics import extension_bits, holds
 from constr.textio import parse_model
 from constr.validity import GeneratorBounds, random_model
@@ -238,6 +239,167 @@ def test_greatest_names_first_incomplete_state():
         for greatest in (bisim.greatest_cl_bisim, bisim.greatest_constr_bisim):
             with pytest.raises(InputError, match="not total at s1$"):
                 greatest(parse_model("\n".join(lines) + "\n"))
+
+
+def reference_refinement(m, blocks, pair_fails):
+    """The grouping loop without keys: every state of a multi-state block
+    is compared with the group representatives in turn."""
+    idx = m.state_index
+    log = []
+    while True:
+        rows = [0] * len(m.states)
+        for block in blocks:
+            bits = m.bits_of(block)
+            for s in block:
+                rows[idx[s]] = bits
+        check = bisim._Cover(rows).check
+        rel = (check, check)
+        refined = []
+        splits = []
+        for block in blocks:
+            if len(block) < 2:
+                refined.append(block)
+                continue
+            groups = []
+            for s in block:
+                reasons = []
+                for members, _ in groups:
+                    reason = pair_fails(rel, members[0], s)
+                    if reason is None:
+                        members.append(s)
+                        break
+                    reasons.append(reason)
+                else:
+                    groups.append(([s], reasons))
+            refined.extend(tuple(members) for members, _ in groups)
+            if len(groups) > 1:
+                splits.append((block, groups))
+        if not splits:
+            return blocks, log
+        log.append((blocks, splits))
+        blocks = refined
+
+
+def comparable(refinement):
+    """Final blocks and log, with each reason as (kind, A, B, side, witness text)."""
+    blocks, log = refinement
+    return [tuple(b) for b in blocks], [
+        ([tuple(b) for b in partition],
+         [(tuple(block), [(tuple(members),
+                           [(r.kind, sorted(r.a), sorted(r.b), r.side, str(r.witness))
+                            for r in reasons])
+                          for members, reasons in groups])
+          for block, groups in splits])
+        for partition, splits in log]
+
+
+def irregular_model(seed):
+    """A seeded model whose (state, agent) pairs have 1-3 actions each."""
+    rng = random.Random(seed)
+    agents = ("a", "b", "c")[:rng.randint(1, 3)]
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 5)))
+    avail = {(s, ag): tuple(f"{ag}{j}" for j in range(rng.randint(1, 3)))
+             for s in states for ag in agents}
+    outcome = {(s, profile): rng.choice(states)
+               for s in states
+               for profile in itertools.product(*(avail[s, ag] for ag in agents))}
+    valuation = {"p": frozenset(s for s in states if rng.random() < 0.5)}
+    return GameModel(agents, states, avail, outcome, valuation)
+
+
+def test_refinement_logs_match_plain_grouping():
+    # states with equal (shape, successor blocks) join a group without a
+    # clause check; blocks, groups, members and reasons must still be
+    # those of the plain loop, which synthesis replays
+    subjects = [chain_model(8), chain_model(16)]
+    subjects += [fixture_model(name) for name in ("exA", "exB", "exC")]
+    subjects.append(parse_model(SHAPES_DIFFER))
+    for agents in (2, 3):
+        for i in range(3):
+            base = random_model(GeneratorBounds(agents, 6, 2, ("p",)), 7700 + 10 * agents + i)
+            subjects.append(disjoint_union(base, base, "l", "r"))
+    for i in range(6):
+        bounds = GeneratorBounds(1 + i % 3, 4, 1 + i % 2, ("p",))
+        subjects.append(disjoint_union(random_model(bounds, 7800 + i),
+                                       random_model(bounds, 7900 + i), "l", "r"))
+    for i in range(6):
+        m = irregular_model(8000 + i)
+        subjects += [m, disjoint_union(m, m, "l", "r")]
+    assert any(len({len(acts) for acts in m.avail.values()}) > 1 for m in subjects)
+    for m in subjects:
+        labels = bisim._labels(m)
+        cl_fails = bisim._pair_fails(
+            m, [(bisim._CL, c, frozenset()) for c in coalitions(m.agents)])
+        cl = reference_refinement(m, bisim._classes(m.states, labels.__getitem__), cl_fails)
+        constr_fails = bisim._pair_fails(
+            m, [(f, a, b) for a, b in bisim._coalition_pairs(m.agents, disjoint_only=True)
+                for f in bisim.ALL_FAMILIES])
+        constr = reference_refinement(m, cl[0], constr_fails)
+        assert comparable(bisim._cl_refinement(m)) == comparable(cl), m.states
+        assert comparable(bisim._constr_refinement(m)) == comparable(constr), m.states
+
+
+def counted_pair_checks(monkeypatch):
+    """Record every pair test the refinements make from now on."""
+    calls = []
+    plain = bisim._pair_fails
+
+    def counting(m, tests):
+        fails = plain(m, tests)
+
+        def counted(rel, s, t):
+            calls.append((s, t))
+            return fails(rel, s, t)
+
+        return counted
+
+    monkeypatch.setattr(bisim, "_pair_fails", counting)
+    return calls
+
+
+def test_structural_copies_join_without_pair_checks(monkeypatch):
+    base = random_model(GeneratorBounds(3, 10, 2, ("p",)), 1)
+    m = disjoint_union(base, base, "l", "r")
+    calls = counted_pair_checks(monkeypatch)
+    cl = bisim.greatest_cl_bisim(m)
+    expected = {(x + s, y + s) for s in base.states for x in "lr" for y in "lr"}
+    assert cl == expected
+    calls.clear()
+    assert bisim.greatest_constr_bisim(m) == expected
+    assert calls == []
+
+
+# x and y send their profiles to u and v alike, but at x agent a picks
+# the successor and at y agent b does
+SHAPES_DIFFER = """
+agents: a b
+states: x y u v
+labels u: p
+actions x a: a1 a2
+actions x b: b1
+actions y a: a1
+actions y b: b1 b2
+actions u a: a1
+actions u b: b1
+actions v a: a1
+actions v b: b1
+go x (a1,b1) -> u
+go x (a2,b1) -> v
+go y (a1,b1) -> u
+go y (a1,b2) -> v
+go u (a1,b1) -> u
+go v (a1,b1) -> v
+"""
+
+
+def test_equal_successor_blocks_with_different_shapes_are_checked():
+    m = parse_model(SHAPES_DIFFER)
+    assert ("x", "y") not in bisim.greatest_cl_bisim(m)
+    assert holds(m, "x", parse_formula("Oc[{a},{}](p, p)"))
+    assert not holds(m, "y", parse_formula("Oc[{a},{}](p, p)"))
+    for s, t in (("x", "y"), ("y", "x")):
+        f = bisim.distinguishing_formula(m, s, t)
+        assert holds(m, s, f) and not holds(m, t, f)
 
 
 def test_invariance_spot_check():
