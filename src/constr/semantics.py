@@ -9,6 +9,13 @@ application is one pass over those signatures.  A table is built in one
 pass over each state's profiles, through a projection of profile
 indices onto (actor, responder) joint-action cells that is cached per
 availability shape (the tuple of per-agent action counts at a state).
+
+A table pays for its build only when it is called many times, so a
+model with more than INDEX_CUTOFF_STATES states keeps no tables: every
+application is answered from a successor-preimage index, built once per
+model.  Per availability shape and successor state, the index packs
+into one int the (profile, state) pairs leading there, so that the same
+quantifier nest runs bit-parallel over all states of a shape.
 State sets travel as bitmasks internally; the public API speaks
 frozensets of state names.
 """
@@ -19,7 +26,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import prod
-from operator import or_
+from operator import and_, or_
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top, formula_agents
 from .model import Coalition, GameModel, InputError, State, per_model
@@ -115,6 +122,137 @@ def _kernel_table(model: GameModel, shapes, proactive: bool, a: Coalition,
     return list(signatures.items())
 
 
+# A model with more states than this answers every operator call from the
+# successor-preimage index; smaller models build kernel tables.  A key
+# called k times costs k index calls I against one table build T plus k
+# calls S on the table, so the index is cheaper while k < T / (I - S).
+# Measured on random models with 2-4 agents (2-core VM, Python 3.11.7;
+# CHANGES.md has the data), that bound is 2-4 calls at 3-5 states, 12-15
+# at 20 and 36-100 at 100; the axiom sweeps, on models of 1-3 states,
+# call each table about 51 times, and one-shot requests call each key
+# about once.
+INDEX_CUTOFF_STATES = 20
+
+
+class _PreimageGroup:
+    """The states of one availability shape, numbered 0..m-1 in model
+    order, with the preimage of every successor state.  `preimages` maps
+    a successor's state bit to a packed int whose bit j*stride + i is set
+    when profile j leads member i there; stride is m rounded up to whole
+    bytes, and `packed_full` has every bit of the n_profiles slices set.
+    (A plain class: a dataclass would cost its generated methods at import.)
+    """
+
+    __slots__ = ("shape", "m", "stride", "members", "targets", "preimages", "packed_full")
+
+    def __init__(self, shape: tuple[int, ...], rows: list):
+        # rows: (model-order state index, successor bits per profile)
+        m = len(rows)
+        width = (m + 7) // 8
+        size = width * prod(shape)
+        slices: dict = {}
+        for i, (_, succ) in enumerate(rows):
+            bit = 1 << (i & 7)
+            for sb, at in zip(succ, range(i >> 3, size, width)):
+                packed = slices.get(sb)
+                if packed is None:
+                    packed = slices[sb] = bytearray(size)
+                packed[at] |= bit
+        self.shape = shape
+        self.m = m
+        self.stride = 8 * width
+        self.members = tuple(i for i, _ in rows)
+        self.preimages = {sb: int.from_bytes(packed, "little") for sb, packed in slices.items()}
+        self.targets = reduce(or_, self.preimages, 0)
+        self.packed_full = (1 << 8 * size) - 1
+
+    def packed_inside(self, x: int) -> int:
+        """Bit j*stride + i set iff member i's profile-j successor is in x.
+        Every (profile, member) has exactly one successor, so the side of
+        the targets with fewer states is ORed and the other complemented."""
+        inside = x & self.targets
+        outside = self.targets ^ inside
+        flip = inside.bit_count() > outside.bit_count()
+        side = outside if flip else inside
+        pre = self.preimages
+        packed = 0
+        while side:
+            low = side & -side
+            packed |= pre[low]
+            side ^= low
+        return self.packed_full ^ packed if flip else packed
+
+    def spread(self, local: int) -> int:
+        """Model-order state bits of the members set in `local`."""
+        members = self.members
+        first = members[0]
+        if members[-1] - first == self.m - 1:
+            return local << first
+        bits = 0
+        while local:
+            low = local & -local
+            bits |= 1 << members[low.bit_length() - 1]
+            local ^= low
+        return bits
+
+
+def _preimage_index(model: GameModel, shapes) -> list[_PreimageGroup]:
+    """The model's states grouped by availability shape, built in one pass
+    over the states' successor bits."""
+    by_shape: dict = {}
+    for i, (s, shape) in enumerate(zip(model.states, shapes)):
+        succ = model._succ_bits(s)
+        if None in succ:
+            raise InputError(f"outcome map is not total at {s}")
+        by_shape.setdefault(shape, []).append((i, succ))
+    return [_PreimageGroup(shape, rows) for shape, rows in by_shape.items()]
+
+
+def _index_answer(groups, proactive: bool, want_answered: bool, actors, responders,
+                  cond_bits: int, goal_bits: int) -> int:
+    """One operator call answered bit-parallel over each group's members.
+
+    IN_j(x), the members whose profile-j successor lies in x, is one slice
+    of a group's packed preimage.  A sigma_a row secures the condition on
+    the AND of IN_j over its profiles, a (sigma_a, sigma_r) cell secures
+    the goal on the AND over the cell's profiles; then Oc is
+    OR_k (ok_k & OR_l good_kl), Obeta AND_k (~ok_k | OR_l good_kl) and
+    Oalpha OR_l AND_k (~ok_k | good_kl).
+    """
+    held = 0
+    for g in groups:
+        n_a, n_r, cells = _cell_projection(g.shape, actors, responders)
+        mm = (1 << g.m) - 1
+        zc = g.packed_inside(cond_bits)
+        zg = g.packed_inside(goal_bits)
+        secure = [mm] * (n_a * n_r)
+        good = secure[:]
+        shift = 0
+        for c in cells:
+            secure[c] &= zc >> shift
+            good[c] &= zg >> shift
+            shift += g.stride
+        ok = [reduce(and_, secure[k * n_r:(k + 1) * n_r], mm) for k in range(n_a)]
+        if proactive:
+            local = 0
+            for l in range(n_r):
+                col = mm
+                for k, ok_k in enumerate(ok):
+                    col &= ~ok_k | good[k * n_r + l]
+                local |= col
+        elif want_answered:
+            local = 0
+            for k, ok_k in enumerate(ok):
+                local |= ok_k & reduce(or_, good[k * n_r:(k + 1) * n_r], 0)
+        else:
+            local = mm
+            for k, ok_k in enumerate(ok):
+                local &= ~ok_k | reduce(or_, good[k * n_r:(k + 1) * n_r], 0)
+        if local:
+            held |= g.spread(local)
+    return held
+
+
 @per_model
 def operator_evaluator(model: GameModel):
     """The model's operator evaluator.
@@ -122,19 +260,71 @@ def operator_evaluator(model: GameModel):
     `O(op, a, b, cond_bits, goal_bits)` is the bitmask of the states
     where the strategic operator `op` (one of the Oc / Oalpha / Obeta
     classes) holds, with `cond_bits` and `goal_bits` standing in for the
-    extensions of its two arguments.  Each call is one loop over the
-    distinct outcome signatures of (operator kind, a, b), built on first
-    use; these kernel tables are the only operator state kept per model.
-    Model checking, the axiom sweeps and distinguisher synthesis all
-    share them.
+    extensions of its two arguments.  Model checking, the axiom sweeps
+    and distinguisher synthesis all share it.  What it keeps per model
+    depends on the model's size:
+
+    - with at most INDEX_CUTOFF_STATES states, one kernel table per
+      (operator kind, a, b - a), the distinct outcome signatures of its
+      joint actions, built on first use, so that a call is one loop
+      over them;
+    - with more states, one successor-preimage index, built on first
+      use, from which every call is answered bit-parallel.
+
+    Oalpha is false where an agent of both a and b has no action, as the
+    literal clause over b is; only models that validate_model rejects
+    have such states.
     """
-    tables: dict = {}
-    full = model.full_bits
     shapes = [tuple(len(model.avail.get((s, ag), ())) for ag in model.agents)
               for s in model.states]
     # the evaluator is kept with the model, so a strong reference would
     # make a cycle that only the cyclic garbage collector can free
     model_ref = weakref.ref(model)
+    if len(shapes) > INDEX_CUTOFF_STATES:
+        O = _index_evaluator(model_ref, shapes, model.agent_index)
+    else:
+        O = _table_evaluator(model_ref, shapes, model.full_bits)
+    if not any(0 in shape for shape in shapes):
+        return O
+    # both evaluators read Oalpha over b - a, which has joint actions
+    # where b has none
+    agent_index = model.agent_index
+
+    def O_without_idle(op, a, b, cond_bits, goal_bits):
+        held = O(op, a, b, cond_bits, goal_bits)
+        if op is Oalpha and a & b:
+            both = [agent_index[ag] for ag in a & b]
+            for i, shape in enumerate(shapes):
+                if not all(shape[j] for j in both):
+                    held &= ~(1 << i)
+        return held
+
+    return O_without_idle
+
+
+def _index_evaluator(model_ref, shapes, agent_index):
+    """Every call answered from the model's preimage index."""
+    index = None
+
+    def O(op, a, b, cond_bits, goal_bits):
+        nonlocal index
+        proactive = op is Oalpha
+        if not proactive and op is not Oc and op is not Obeta:
+            raise TypeError(f"not a strategic operator: {op!r}")
+        if index is None:
+            index = _preimage_index(model_ref(), shapes)
+        # only b - a responds, the acting coalition winning the overlap
+        return _index_answer(index, proactive, op is Oc,
+                             tuple(sorted(agent_index[ag] for ag in a)),
+                             tuple(sorted(agent_index[ag] for ag in b - a)),
+                             cond_bits, goal_bits)
+
+    return O
+
+
+def _table_evaluator(model_ref, shapes, full):
+    """Every call answered from a kernel table, built on first use."""
+    tables: dict = {}
 
     def O(op, a, b, cond_bits, goal_bits):
         proactive = op is Oalpha
@@ -283,10 +473,13 @@ def holds(model: GameModel, state: State, f: Formula) -> bool:
 def holds_via_b_minus_a(model: GameModel, state: State, f: Strategic) -> bool:
     """Evaluate a strategic operator quantifying the responder over b-minus-a.
 
-    Restating the clause over the responder coalition stripped of the
-    acting coalition is equivalent to the primary clause; this
-    implementation exists as an independent cross-check and is exercised
-    against `holds` in the tests.
+    On valid models, restating the clause over the responder coalition
+    stripped of the acting coalition is equivalent to the primary clause;
+    this implementation exists as an independent cross-check and is
+    exercised against `holds` in the tests.  Where an agent of both
+    coalitions has no action (a model validate_model rejects), Oalpha
+    differs: b has no joint action, so the clause is false, while b - a
+    may have one.
     """
     if not isinstance(f, Strategic):
         raise InputError("holds_via_b_minus_a expects a strategic formula")

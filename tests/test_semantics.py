@@ -3,6 +3,7 @@ and agreement with the responder-minus-actor restatement."""
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,8 +20,10 @@ from constr.formula import (
     parse_formula,
     random_formula,
 )
+from constr import semantics
 from constr.model import GameModel, InputError
 from constr.semantics import (
+    INDEX_CUTOFF_STATES,
     explain,
     extension,
     extension_bits,
@@ -282,14 +285,21 @@ def test_agent_without_actions_answers_everywhere():
     assert holds(m, "s0", f) is False
     assert explain(m, "s0", f).value is False
     assert holds_via_b_minus_a(m, "s0", f) is False
+    # b has no joint action, so no uniform response exists; the b - a
+    # restatement of holds_via_b_minus_a reads true here
+    g = Oalpha(frozenset("b"), frozenset("b"), p, p)
+    assert holds(m, "s0", g) is False
+    assert explain(m, "s0", g).value is False
 
 
-def _irregular_model(seed: int, agentless_state: bool = False) -> GameModel:
-    """A seeded model whose (state, agent) pairs have 1-3 actions each;
-    with agentless_state, one agent has no action at one state."""
+def _irregular_model(seed: int, agentless_state: bool = False,
+                     sizes: tuple[int, int] = (1, 4)) -> GameModel:
+    """A seeded model whose (state, agent) pairs have 1-3 actions each and
+    whose state count lies in sizes; with agentless_state, one agent has
+    no action at one state."""
     rng = random.Random(seed)
     agents = ("a", "b", "c")[:rng.randint(1, 3)]
-    states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
+    states = tuple(f"s{i}" for i in range(rng.randint(*sizes)))
     avail = {(s, ag): tuple(f"{ag}{j}" for j in range(rng.randint(1, 3)))
              for s in states for ag in agents}
     if agentless_state:
@@ -317,17 +327,61 @@ def test_operator_evaluator_on_irregular_availability():
         for op in (Oc, Oalpha, Obeta):
             for a in coalitions:
                 for b in coalitions:
-                    # where an agent of both coalitions has no action, b has
-                    # no joint action but b - a may have one, and Oa there
-                    # is read over b - a: left out (see CHANGES.md, FOUND)
-                    skip = 0 if op is not Oalpha else m.bits_of(
-                        s for s in m.states if not all(m.avail[s, ag] for ag in a & b))
                     for (cond_bits, cond), (goal_bits, goal) in (
                             (rng.choice(sets), rng.choice(sets)) for _ in range(3)):
                         want = brute_operator_states(m, op, a, b, cond, goal)
                         got = O(op, a, b, cond_bits, goal_bits)
-                        assert got & ~skip == m.bits_of(want) & ~skip, \
+                        assert got == m.bits_of(want), \
                             (m.states, m.avail, op.token, a, b, cond, goal)
+
+
+def test_index_path_agrees_with_kernel_and_brute_force(monkeypatch):
+    # above the cutoff every call is answered from the preimage index; a
+    # copy of the model made under a raised cutoff answers from kernel tables
+    above = (INDEX_CUTOFF_STATES + 1, INDEX_CUTOFF_STATES + 5)
+    models = [random_model(GeneratorBounds(agents, INDEX_CUTOFF_STATES + agents, 2), 900 + agents)
+              for agents in (2, 3, 4)]
+    models += [_irregular_model(seed, sizes=above) for seed in range(4)]
+    models += [_irregular_model(seed, agentless_state=True, sizes=above)
+               for seed in range(100, 104)]
+    assert any(len(set(m.avail.values())) > 1 for m in models)
+    rng = random.Random(29)
+    for m in models:
+        assert len(m.states) > INDEX_CUTOFF_STATES
+        O = operator_evaluator(m)
+        copy = replace(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(semantics, "INDEX_CUTOFF_STATES", len(m.states))
+            K = operator_evaluator(copy)
+        coalitions = _all_coalitions(m.agents)
+        pairs = [(a, b) for a in coalitions for b in coalitions]
+        for op in (Oc, Oalpha, Obeta):
+            for a, b in rng.sample(pairs, min(len(pairs), 6)):
+                for density in (0.2, 0.5, 0.8):
+                    cond, goal = (frozenset(s for s in m.states if rng.random() < density)
+                                  for _ in range(2))
+                    want = m.bits_of(brute_operator_states(m, op, a, b, cond, goal))
+                    got = [E(op, a, b, m.bits_of(cond), m.bits_of(goal)) for E in (O, O, K)]
+                    assert got == [want] * 3, (m.states, m.avail, op.token, a, b, cond, goal)
+
+
+def test_index_path_names_first_state_without_outcome():
+    n = INDEX_CUTOFF_STATES + 5
+    states = tuple(f"s{i}" for i in range(n))
+    avail = {(s, ag): ("x", "y") for s in states for ag in "ab"}
+    outcome = {(s, profile): states[(i + 1) % n]
+               for i, s in enumerate(states)
+               for profile in itertools.product("xy", repeat=2)}
+    del outcome["s7", ("y", "x")], outcome["s3", ("x", "y")]
+    m = GameModel(("a", "b"), states, avail, outcome, {"p": frozenset(states[:4])})
+    O = operator_evaluator(m)
+    for op in (Oc, Oalpha, Obeta):
+        # a failed index build is not kept: the next call fails the same way
+        for _ in range(2):
+            with pytest.raises(InputError, match=r"^outcome map is not total at s3$"):
+                O(op, frozenset("a"), frozenset("b"), m.full_bits, m.full_bits)
+        with pytest.raises(InputError, match=r"^outcome map is not total at s3$"):
+            holds(m, "s0", op(frozenset("b"), frozenset("ab"), TOP, p))
 
 
 def test_deeply_nested_negation_answers():
