@@ -208,8 +208,8 @@ def _proactive_clause(model, rel, s1, s2, a, b):
     outs2 = model.out_bits_table(s2, a)
     m1 = model.merged_out_bits(s1, a, b)
     m2 = model.merged_out_bits(s2, a, b)
-    nb2 = len(model.joint_action_table(s2, b))
-    for ib1 in range(len(model.joint_action_table(s1, b))):
+    nb2 = len(model.out_bits_table(s2, b))
+    for ib1 in range(len(model.out_bits_table(s1, b))):
         for ib2 in range(nb2):
             if all(any(fwd(o1, o2) and rev(row2[ib2], row1[ib1])
                        for o1, row1 in zip(outs1, m1))
@@ -380,13 +380,12 @@ def _greatest(model: GameModel, blocks, pair_fails):
     incomplete state in state order.
     """
     idx = model.state_index
-    shapes = []
+    shapes = model.shapes
     succ = []
     for s in model.states:
         bits = model._succ_bits(s)
         if None in bits:
             raise InputError(f"outcome map is not total at {s}")
-        shapes.append(tuple(len(model.avail.get((s, a), ())) for a in model.agents))
         succ.append([b.bit_length() - 1 for b in bits])
     log = []
     while True:

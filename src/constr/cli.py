@@ -218,6 +218,8 @@ def validate(bounds_specs, random_models, seed, seeds, schemes, exclude,
             file_cfg = jsonlib.loads(_read(config_path))
         except ValueError as exc:
             _fail_input(f"{config_path}: {exc}")
+        if not isinstance(file_cfg, dict):
+            _fail_input(f"{config_path}: the config must be a JSON object")
     try:
         if not bounds_specs and "bounds" in file_cfg:
             bounds_specs = [",".join(str(x) for x in b) for b in file_cfg["bounds"]]
@@ -252,8 +254,14 @@ def validate(bounds_specs, random_models, seed, seeds, schemes, exclude,
             budget=budget,
             stress=stress or bool(file_cfg.get("stress", False)),
         )
+    except TypeError as exc:
+        # flags arrive typed, so only a config file value can be mistyped
+        _fail_input(f"{config_path}: mistyped value: {exc}")
+    except ValueError as exc:
+        _fail_input(str(exc))
+    try:
         report = validity.run_suite(config)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         _fail_input(str(exc))
     if as_json:
         click.echo(jsonlib.dumps(report.to_json()))

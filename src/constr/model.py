@@ -3,7 +3,14 @@
 A model is a set of states, a per-state non-empty action set for every
 agent, a total local outcome function on full action profiles, and a
 valuation of atomic propositions.  Models are immutable once built and
-safe to share between threads; all derived tables are cached lazily.
+safe to share between threads.
+
+This module owns the numbering of profiles and joint actions and the
+projection of profile indices onto (joint action, joint action) cells;
+every outcome table, here and in the operator evaluator, is read
+through it.  Derived tables are cached lazily per model, except the
+availability-only profile products, which are cached by value, so that
+models with equal action sets (such as a generated family) share them.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
+from math import prod
 from typing import Iterable, Mapping
 
 Agent = str
@@ -132,7 +140,7 @@ class GameModel:
 
     def profiles(self, state: State) -> tuple[tuple[Action, ...], ...]:
         """All full action profiles available at a state, in canonical order."""
-        return self._profile_table[state]
+        return _profile_product(tuple(self.avail.get((state, a), ()) for a in self.agents))
 
     def successor(self, state: State, profile: tuple[Action, ...]) -> State:
         try:
@@ -162,58 +170,26 @@ class GameModel:
         return {}
 
     # -- derived tables ------------------------------------------------
+    #
+    # Profiles and joint actions are numbered in mixed radix with the
+    # first agent most significant, as itertools.product does; every
+    # outcome table below is read through _cell_projection in that order.
 
     @cached_property
-    def _profile_table(self) -> dict[State, tuple[tuple[Action, ...], ...]]:
-        table = {}
-        for s in self.states:
-            pools = [self.avail.get((s, a), ()) for a in self.agents]
-            table[s] = tuple(itertools.product(*pools))
-        return table
-
-    @cached_property
-    def _ja_cache(self) -> dict:
-        return {}
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Each state's availability shape, in state order: its per-agent
+        action counts, in agent order."""
+        return tuple(tuple(len(self.avail.get((s, a), ())) for a in self.agents)
+                     for s in self.states)
 
     def joint_action_table(self, state: State, coalition: Coalition) -> tuple[JointAction, ...]:
         """All joint actions of a coalition at a state, in canonical order."""
-        key = (state, coalition)
-        cached = self._ja_cache.get(key)
-        if cached is not None:
-            return cached
         members = tuple(a for a in self.agents if a in coalition)
         pools = [self.avail.get((state, a), ()) for a in members]
-        table = tuple(
+        return tuple(
             JointAction.of(state, dict(zip(members, choice)))
             for choice in itertools.product(*pools)
         )
-        self._ja_cache[key] = table
-        return table
-
-    @cached_property
-    def _mask_cache(self) -> dict:
-        return {}
-
-    def _profile_masks(self, state: State):
-        """Per available (agent, action): bitmask over profile indices
-        playing it, plus the all-profiles mask.  Depends on availability
-        only.  Where some agent has no action there is no profile, and
-        every action's mask is 0."""
-        cached = self._mask_cache.get(state)
-        if cached is not None:
-            return cached
-        if state not in self.state_index:
-            raise InputError(f"unknown state {state!r}")
-        profiles = self.profiles(state)
-        masks: dict[tuple[Agent, Action], int] = {
-            (a, act): 0 for a in self.agents for act in self.avail.get((state, a), ())}
-        for j, profile in enumerate(profiles):
-            bit = 1 << j
-            for i, a in enumerate(self.agents):
-                masks[a, profile[i]] |= bit
-        result = (masks, (1 << len(profiles)) - 1)
-        self._mask_cache[state] = result
-        return result
 
     @cached_property
     def _succ_cache(self) -> dict:
@@ -234,22 +210,25 @@ class GameModel:
         self._succ_cache[state] = succ
         return succ
 
-    def _collect_out(self, state: State, profile_mask: int) -> int:
-        succ = self._succ_bits(state)
-        bits = 0
-        m = profile_mask
-        while m:
-            low = m & -m
-            sb = succ[low.bit_length() - 1]
-            if sb is None:
-                raise InputError(f"outcome map is not total at {state}")
-            bits |= sb
-            m ^= low
-        return bits
+    def _positions(self, coalition: Coalition) -> tuple[int, ...]:
+        return tuple(i for i, a in enumerate(self.agents) if a in coalition)
 
-    @cached_property
-    def _out_cache(self) -> dict:
-        return {}
+    def _cell_outcomes(self, state: State, actors: tuple[int, ...],
+                       responders: tuple[int, ...]) -> tuple[int, int, list[int]]:
+        """The outcome of every (actor joint action, responder joint
+        action) cell at a state, for the agents at the given ascending
+        positions: (n_a, n_r, outs) with outs[k * n_r + l] the outcome
+        bitmask of cell (k, l).  Every successor is ORed into its
+        profile's cell."""
+        n_a, n_r, cells = _cell_projection(self.shapes[self.state_index[state]],
+                                           actors, responders)
+        succ = self._succ_bits(state)
+        if None in succ:
+            raise InputError(f"outcome map is not total at {state}")
+        outs = [0] * (n_a * n_r)
+        for c, sb in zip(cells, succ):
+            outs[c] |= sb
+        return n_a, n_r, outs
 
     def out_bits(self, sigma: JointAction) -> int:
         """Outcome set of a joint action, as a state bitmask.
@@ -257,42 +236,40 @@ class GameModel:
         The outcome set collects the successors of every full profile
         that extends the joint action.
         """
-        key = (sigma.state, sigma.moves)
-        cached = self._out_cache.get(key)
-        if cached is not None:
-            return cached
         state = sigma.state
-        masks, pmask = self._profile_masks(state)
+        if state not in self.state_index:
+            raise InputError(f"unknown state {state!r}")
+        moves = []
         for agent, act in sigma.moves:
-            m = masks.get((agent, act))
-            if m is None:
-                if agent not in self.agent_index:
-                    raise InputError(f"unknown agent {agent!r}")
+            if agent not in self.agent_index:
+                raise InputError(f"unknown agent {agent!r}")
+            if act not in self.avail.get((state, agent), ()):
                 raise InputError(
                     f"action {act!r} of agent {agent!r} not available at {state}")
-            pmask &= m
-        bits = self._collect_out(state, pmask)
-        self._out_cache[key] = bits
+            moves.append((self.agent_index[agent], act))
+        bits = 0
+        for profile, sb in zip(self.profiles(state), self._succ_bits(state)):
+            if all(profile[i] == act for i, act in moves):
+                if sb is None:
+                    raise InputError(f"outcome map is not total at {state}")
+                bits |= sb
         return bits
 
     @cached_property
-    def _outs_cache(self) -> dict:
+    def _tables(self) -> dict:
+        # out_bits_table results by (state, coalition), merged_out_bits
+        # results by (state, a, b)
         return {}
 
     def out_bits_table(self, state: State, coalition: Coalition) -> tuple[int, ...]:
         """Outcome bitmasks of every joint action of a coalition at a state,
         aligned with joint_action_table order."""
         key = (state, coalition)
-        cached = self._outs_cache.get(key)
-        if cached is not None:
-            return cached
-        table = tuple(self.out_bits(ja) for ja in self.joint_action_table(state, coalition))
-        self._outs_cache[key] = table
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = tuple(
+                self._cell_outcomes(state, self._positions(coalition), ())[2])
         return table
-
-    @cached_property
-    def _merged_cache(self) -> dict:
-        return {}
 
     def merged_out_bits(self, state: State, a: Coalition, b: Coalition):
         """Outcome bitmask of merge(ja_a, ja_b) for every pair of joint actions.
@@ -301,36 +278,56 @@ class GameModel:
         coalition's choices win on any overlap.
         """
         key = (state, a, b)
-        cached = self._merged_cache.get(key)
-        if cached is not None:
-            return cached
-        jas_a = self.joint_action_table(state, a)
-        jas_b = self.joint_action_table(state, b)
-        masks, full = self._profile_masks(state)
-        b_restricted = [
-            [(ag, act) for ag, act in jb.moves if ag not in a]
-            for jb in jas_b
-        ]
-        out_of: dict[int, int] = {}
-        rows = []
-        for ja in jas_a:
-            base = full
-            for move in ja.moves:
-                base &= masks[move]
-            row = []
-            for moves_b in b_restricted:
-                m = base
-                for move in moves_b:
-                    m &= masks[move]
-                bits = out_of.get(m)
-                if bits is None:
-                    bits = self._collect_out(state, m)
-                    out_of[m] = bits
-                row.append(bits)
-            rows.append(tuple(row))
-        table = tuple(rows)
-        self._merged_cache[key] = table
+        table = self._tables.get(key)
+        if table is not None:
+            return table
+        r = b - a
+        n_a, n_r, outs = self._cell_outcomes(state, self._positions(a), self._positions(r))
+        rows = [outs[k * n_r:(k + 1) * n_r] for k in range(n_a)]
+        if r != b:
+            # a joint action of b plays the cell of its moves outside a
+            members = self._positions(b)
+            shape = self.shapes[self.state_index[state]]
+            _, _, columns = _cell_projection(
+                tuple(shape[i] for i in members),
+                tuple(j for j, i in enumerate(members) if self.agents[i] in a),
+                tuple(j for j, i in enumerate(members) if self.agents[i] in r))
+            rows = [[row[c % n_r] for c in columns] for row in rows]
+        table = self._tables[key] = tuple(map(tuple, rows))
         return table
+
+
+@lru_cache(maxsize=1024)
+def _profile_product(pools: tuple[tuple[Action, ...], ...]) -> tuple[tuple[Action, ...], ...]:
+    # keyed by value, so models with the same action sets at a state
+    # (such as a generated family) share one profile tuple
+    return tuple(itertools.product(*pools))
+
+
+@lru_cache(maxsize=None)
+def _cell_projection(shape: tuple[int, ...], actors: tuple[int, ...],
+                     responders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """The cell layout of one availability shape (the per-agent action
+    counts at a state) for the agents at the given positions: the numbers
+    of actor and of responder joint actions, and for every profile index
+    the index of its (actor joint action, responder joint action) cell,
+    row-major.  Joint actions and profiles are numbered in mixed radix
+    with the first agent most significant, as itertools.product does."""
+    n_a = prod(shape[i] for i in actors)
+    n_r = prod(shape[i] for i in responders)
+    weights = [0] * len(shape)
+    stride = 1
+    for i in reversed(responders):
+        weights[i] = stride
+        stride *= shape[i]
+    stride = n_r
+    for i in reversed(actors):
+        weights[i] = stride
+        stride *= shape[i]
+    cells = [0]
+    for size, weight in zip(shape, weights):
+        cells = [c + d * weight for c in cells for d in range(size)]
+    return n_a, n_r, tuple(cells)
 
 
 # -- module-level operations on models ---------------------------------

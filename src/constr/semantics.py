@@ -6,9 +6,8 @@ through the model's one operator evaluator.  It keeps one kernel table
 per (operator kind, acting coalition, responders): the distinct outcome
 signatures of the joint actions, with the states showing each, so one
 application is one pass over those signatures.  A table is built in one
-pass over each state's profiles, through a projection of profile
-indices onto (actor, responder) joint-action cells that is cached per
-availability shape (the tuple of per-agent action counts at a state).
+pass over each state's profiles, from the per-state cell outcomes that
+the model provides (model.py owns the profile and cell numbering).
 
 A table pays for its build only when it is called many times, so a
 model with more than INDEX_CUTOFF_STATES states keeps no tables: every
@@ -24,12 +23,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from math import prod
 from operator import and_, or_
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top, formula_agents
-from .model import Coalition, GameModel, InputError, State, per_model
+from .model import Coalition, GameModel, InputError, State, _cell_projection, per_model
 
 
 @dataclass(frozen=True)
@@ -38,36 +37,6 @@ class Extension:
 
     formula: Formula
     states: frozenset
-
-
-def _subset(x: int, y: int) -> bool:
-    return x & ~y == 0
-
-
-@lru_cache(maxsize=None)
-def _cell_projection(shape: tuple[int, ...], actors: tuple[int, ...],
-                     responders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """The cell layout of one availability shape (the per-agent action
-    counts at a state) for the agents at the given positions: the numbers
-    of actor and of responder joint actions, and for every profile index
-    the index of its (actor joint action, responder joint action) cell,
-    row-major.  Joint actions and profiles are numbered in mixed radix
-    with the first agent most significant, as itertools.product does."""
-    n_a = prod(shape[i] for i in actors)
-    n_r = prod(shape[i] for i in responders)
-    weights = [0] * len(shape)
-    stride = 1
-    for i in reversed(responders):
-        weights[i] = stride
-        stride *= shape[i]
-    stride = n_r
-    for i in reversed(actors):
-        weights[i] = stride
-        stride *= shape[i]
-    cells = [0]
-    for size, weight in zip(shape, weights):
-        cells = [c + d * weight for c in cells for d in range(size)]
-    return n_a, n_r, tuple(cells)
 
 
 def _minimal(masks) -> tuple[int, ...]:
@@ -83,33 +52,25 @@ def _minimal(masks) -> tuple[int, ...]:
     return tuple(keep)
 
 
-def _kernel_table(model: GameModel, shapes, proactive: bool, a: Coalition,
-                  r: Coalition) -> list:
+def _kernel_table(model: GameModel, proactive: bool, a: Coalition, r: Coalition) -> list:
     """Distinct outcome signatures of one (operator kind, a, r), each with
     the bitmask of the states that show it; r is the responder coalition
-    stripped of a, and shapes holds each state's availability shape.
+    stripped of a.
 
-    Each state takes one pass over its profiles: every successor is ORed
-    into the profile's (sigma_a, sigma_r) cell, and a row's outcome is the
-    OR of its cells.  Oc and Obeta share the entries
+    Each state takes one pass over its profiles, which gives the outcome
+    of every (sigma_a, sigma_r) cell; a row's outcome is the OR of its
+    cells.  Oc and Obeta share the entries
     ((sigma_a outcome, minimal merged outcomes over sigma_b), states): a
     sigma_b secures a goal exactly when some minimal merged outcome lies
     inside it.  Oalpha reads one entry per sigma_b column:
     (frozenset of (sigma_a outcome, merged outcome) pairs, states).
     """
-    position = model.agent_index
-    actors = tuple(sorted(position[ag] for ag in a))
-    responders = tuple(sorted(position[ag] for ag in r))
+    actors = model._positions(a)
+    responders = model._positions(r)
     signatures: dict = {}
     bit = 1
-    for s, shape in zip(model.states, shapes):
-        n_a, n_r, cells = _cell_projection(shape, actors, responders)
-        succ = model._succ_bits(s)
-        if None in succ:
-            raise InputError(f"outcome map is not total at {s}")
-        merged = [0] * (n_a * n_r)
-        for c, sb in zip(cells, succ):
-            merged[c] |= sb
+    for s in model.states:
+        n_a, n_r, merged = model._cell_outcomes(s, actors, responders)
         rows = [merged[k * n_r:(k + 1) * n_r] for k in range(n_a)]
         outs_a = [reduce(or_, row, 0) for row in rows]
         if proactive:
@@ -196,11 +157,11 @@ class _PreimageGroup:
         return bits
 
 
-def _preimage_index(model: GameModel, shapes) -> list[_PreimageGroup]:
+def _preimage_index(model: GameModel) -> list[_PreimageGroup]:
     """The model's states grouped by availability shape, built in one pass
     over the states' successor bits."""
     by_shape: dict = {}
-    for i, (s, shape) in enumerate(zip(model.states, shapes)):
+    for i, (s, shape) in enumerate(zip(model.states, model.shapes)):
         succ = model._succ_bits(s)
         if None in succ:
             raise InputError(f"outcome map is not total at {s}")
@@ -275,15 +236,14 @@ def operator_evaluator(model: GameModel):
     literal clause over b is; only models that validate_model rejects
     have such states.
     """
-    shapes = [tuple(len(model.avail.get((s, ag), ())) for ag in model.agents)
-              for s in model.states]
+    shapes = model.shapes
     # the evaluator is kept with the model, so a strong reference would
     # make a cycle that only the cyclic garbage collector can free
     model_ref = weakref.ref(model)
     if len(shapes) > INDEX_CUTOFF_STATES:
-        O = _index_evaluator(model_ref, shapes, model.agent_index)
+        O = _index_evaluator(model_ref)
     else:
-        O = _table_evaluator(model_ref, shapes, model.full_bits)
+        O = _table_evaluator(model_ref, model.full_bits)
     if not any(0 in shape for shape in shapes):
         return O
     # both evaluators read Oalpha over b - a, which has joint actions
@@ -302,7 +262,7 @@ def operator_evaluator(model: GameModel):
     return O_without_idle
 
 
-def _index_evaluator(model_ref, shapes, agent_index):
+def _index_evaluator(model_ref):
     """Every call answered from the model's preimage index."""
     index = None
 
@@ -311,18 +271,17 @@ def _index_evaluator(model_ref, shapes, agent_index):
         proactive = op is Oalpha
         if not proactive and op is not Oc and op is not Obeta:
             raise TypeError(f"not a strategic operator: {op!r}")
+        model = model_ref()
         if index is None:
-            index = _preimage_index(model_ref(), shapes)
+            index = _preimage_index(model)
         # only b - a responds, the acting coalition winning the overlap
-        return _index_answer(index, proactive, op is Oc,
-                             tuple(sorted(agent_index[ag] for ag in a)),
-                             tuple(sorted(agent_index[ag] for ag in b - a)),
-                             cond_bits, goal_bits)
+        return _index_answer(index, proactive, op is Oc, model._positions(a),
+                             model._positions(b - a), cond_bits, goal_bits)
 
     return O
 
 
-def _table_evaluator(model_ref, shapes, full):
+def _table_evaluator(model_ref, full):
     """Every call answered from a kernel table, built on first use."""
     tables: dict = {}
 
@@ -336,7 +295,7 @@ def _table_evaluator(model_ref, shapes, full):
             # only b - a responds, the acting coalition winning the overlap
             table = tables.get((proactive, a, b - a))
             if table is None:
-                table = _kernel_table(model_ref(), shapes, proactive, a, b - a)
+                table = _kernel_table(model_ref(), proactive, a, b - a)
                 tables[proactive, a, b - a] = table
             tables[key] = table
         outside_cond = ~cond_bits
@@ -376,37 +335,53 @@ def strategic_states_bits(model: GameModel, op: type, a: Coalition, b: Coalition
     return operator_evaluator(model)(op, a, b, cond_bits, goal_bits)
 
 
+def _nest(model: GameModel, state: State, op: type, a: Coalition, b: Coalition,
+          cond_bits: int, goal_bits: int):
+    """The quantifier nest of one strategic operator at one state, on
+    argument bitmasks: (verdict, witnesses), where each witness is a pair
+    (ia, ib) of indices into the joint actions of a and of b at the state
+    in joint_action_table order, or None where a side has no part.
+
+    - Oc true: the first condition-securing sigma_a with a goal-securing
+      response, and its first such response; false: every
+      condition-securing sigma_a, unanswered.
+    - Oalpha true: the first response that secures the goal against every
+      condition-securing sigma_a; false: every response with the first
+      condition-securing sigma_a it fails against.
+    - Obeta true: every condition-securing sigma_a with its first
+      goal-securing response; false: the first condition-securing sigma_a
+      without one.
+    """
+    if op is not Oc and op is not Oalpha and op is not Obeta:
+        raise TypeError(f"not a strategic operator: {op!r}")
+    merged = model.merged_out_bits(state, a, b)
+    responses = range(len(model.out_bits_table(state, b)))
+    outside_goal = ~goal_bits
+    securing = [ia for ia, out_a in enumerate(model.out_bits_table(state, a))
+                if not out_a & ~cond_bits]
+    if op is Oalpha:
+        defeats = []
+        for ib in responses:
+            ia = next((ia for ia in securing if merged[ia][ib] & outside_goal), None)
+            if ia is None:
+                return True, [(None, ib)]
+            defeats.append((ia, ib))
+        return False, defeats
+    answers = []
+    for ia in securing:
+        ib = next((ib for ib in responses if not merged[ia][ib] & outside_goal), None)
+        if ib is not None and op is Oc:
+            return True, [(ia, ib)]
+        if ib is None and op is Obeta:
+            return False, [(ia, None)]
+        answers.append((ia, ib))
+    return op is Obeta, answers
+
+
 def strategic_holds_at(model: GameModel, state: State, op: type, a: Coalition,
                        b: Coalition, cond_bits: int, goal_bits: int) -> bool:
     """Evaluate one strategic operator at one state, on argument bitmasks."""
-    outs_a = model.out_bits_table(state, a)
-    merged = model.merged_out_bits(state, a, b)
-    n_b = len(model.joint_action_table(state, b))
-
-    if op is Oc:
-        for ia, out_a in enumerate(outs_a):
-            if _subset(out_a, cond_bits):
-                row = merged[ia]
-                if any(_subset(row[ib], goal_bits) for ib in range(n_b)):
-                    return True
-        return False
-
-    if op is Oalpha:
-        for ib in range(n_b):
-            if all(not _subset(out_a, cond_bits) or _subset(merged[ia][ib], goal_bits)
-                   for ia, out_a in enumerate(outs_a)):
-                return True
-        return False
-
-    if op is Obeta:
-        for ia, out_a in enumerate(outs_a):
-            if _subset(out_a, cond_bits):
-                row = merged[ia]
-                if not any(_subset(row[ib], goal_bits) for ib in range(n_b)):
-                    return False
-        return True
-
-    raise TypeError(f"not a strategic operator: {op!r}")
+    return _nest(model, state, op, a, b, cond_bits, goal_bits)[0]
 
 
 @per_model
@@ -533,65 +508,39 @@ def explain(model: GameModel, state: State, f: Formula) -> Explanation:
     if not isinstance(target, Strategic):
         return Explanation(value=value, detail="no strategic operator at the top level")
 
-    cond = extension_bits(model, target.phi)
-    goal = extension_bits(model, target.psi)
+    op = type(target)
+    verdict, pairs = _nest(model, state, op, target.a, target.b,
+                           extension_bits(model, target.phi), extension_bits(model, target.psi))
     jas_a = model.joint_action_table(state, target.a)
     jas_b = model.joint_action_table(state, target.b)
-    merged = model.merged_out_bits(state, target.a, target.b)
-    securing = [ia for ia, ja in enumerate(jas_a)
-                if _subset(model.out_bits(ja), cond)]
-    op = type(target)
-    inner_true = value != negated
     exp = Explanation(value=value, operator=target.token, negated=negated)
 
     if op is Oc:
-        if inner_true:
-            for ia in securing:
-                for ib, jb in enumerate(jas_b):
-                    if _subset(merged[ia][ib], goal):
-                        exp.detail = "condition and goal both securable"
-                        exp.witnesses = {"sigma_a": str(jas_a[ia]), "sigma_b": str(jb)}
-                        return exp
-        exp.detail = ("no joint action of the first coalition secures the condition"
-                      if not securing else
-                      "no condition-securing joint action leaves the goal securable")
-        exp.witnesses = {"condition_securing": [str(jas_a[ia]) for ia in securing]}
-        return exp
-
-    if op is Oalpha:
-        if inner_true:
-            for ib, jb in enumerate(jas_b):
-                if all(_subset(merged[ia][ib], goal) for ia in securing):
-                    exp.detail = "one response works against every condition-securing action"
-                    exp.witnesses = {"sigma_b": str(jb)}
-                    return exp
-        defeated = []
-        for ib, jb in enumerate(jas_b):
-            for ia in securing:
-                if not _subset(merged[ia][ib], goal):
-                    defeated.append(f"{jb} defeated by {jas_a[ia]}")
-                    break
-        exp.detail = "every uniform response fails against some condition-securing action"
-        exp.witnesses = {"defeats": defeated}
-        return exp
-
-    # Obeta
-    if inner_true:
-        if not securing:
+        if verdict:
+            ia, ib = pairs[0]
+            exp.detail = "condition and goal both securable"
+            exp.witnesses = {"sigma_a": str(jas_a[ia]), "sigma_b": str(jas_b[ib])}
+        else:
+            exp.detail = ("no joint action of the first coalition secures the condition"
+                          if not pairs else
+                          "no condition-securing joint action leaves the goal securable")
+            exp.witnesses = {"condition_securing": [str(jas_a[ia]) for ia, _ in pairs]}
+    elif op is Oalpha:
+        if verdict:
+            exp.detail = "one response works against every condition-securing action"
+            exp.witnesses = {"sigma_b": str(jas_b[pairs[0][1]])}
+        else:
+            exp.detail = "every uniform response fails against some condition-securing action"
+            exp.witnesses = {"defeats": [f"{jas_b[ib]} defeated by {jas_a[ia]}"
+                                         for ia, ib in pairs]}
+    elif verdict:
+        if not pairs:
             exp.detail = "vacuously true: nothing secures the condition"
-            return exp
-        pairs = []
-        for ia in securing:
-            for ib, jb in enumerate(jas_b):
-                if _subset(merged[ia][ib], goal):
-                    pairs.append(f"{jas_a[ia]} answered by {jb}")
-                    break
-        exp.detail = "every condition-securing action has a goal-securing response"
-        exp.witnesses = {"responses": pairs}
-        return exp
-    for ia in securing:
-        if not any(_subset(merged[ia][ib], goal) for ib in range(len(jas_b))):
-            exp.detail = "a condition-securing action admits no goal-securing response"
-            exp.witnesses = {"sigma_a": str(jas_a[ia])}
-            return exp
+        else:
+            exp.detail = "every condition-securing action has a goal-securing response"
+            exp.witnesses = {"responses": [f"{jas_a[ia]} answered by {jas_b[ib]}"
+                                           for ia, ib in pairs]}
+    else:
+        exp.detail = "a condition-securing action admits no goal-securing response"
+        exp.witnesses = {"sigma_a": str(jas_a[pairs[0][0]])}
     return exp

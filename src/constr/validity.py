@@ -61,19 +61,7 @@ def _skeleton(bounds: GeneratorBounds):
     }
     profiles = tuple(itertools.product(*(avail[(states[0], a)] for a in agents)))
     slots = tuple((s, profile) for s in states for profile in profiles)
-    shared_caches: dict = {"_ja_cache": {}, "_mask_cache": {}}
-    return agents, states, avail, slots, shared_caches
-
-
-def _assemble(bounds: GeneratorBounds, outcome, valuation) -> GameModel:
-    agents, states, avail, _, shared = _skeleton(bounds)
-    model = GameModel(agents=agents, states=states, avail=avail,
-                      outcome=outcome, valuation=valuation)
-    # availability-derived tables are identical across the family; share them
-    model.__dict__.update(shared)
-    if "_profile_table" not in shared:
-        shared["_profile_table"] = model._profile_table
-    return model
+    return agents, states, avail, slots
 
 
 def model_count(bounds: GeneratorBounds) -> int:
@@ -93,7 +81,7 @@ def enumerate_models(bounds: GeneratorBounds, cap: int = 10 ** 6) -> Iterator[Ga
     if count > cap:
         raise InputError(
             f"family of {count} models exceeds the cap of {cap}; tighten the bounds")
-    _, states, _, slots, _ = _skeleton(bounds)
+    agents, states, avail, slots = _skeleton(bounds)
     label_slots = [(atom, s) for atom in bounds.atoms for s in states]
     for targets in itertools.product(range(bounds.states), repeat=len(slots)):
         outcome = {slot: states[t] for slot, t in zip(slots, targets)}
@@ -102,21 +90,21 @@ def enumerate_models(bounds: GeneratorBounds, cap: int = 10 ** 6) -> Iterator[Ga
             for (atom, s), on in zip(label_slots, labels):
                 if on:
                     valuation[atom] = valuation.get(atom, frozenset()) | {s}
-            yield _assemble(bounds, outcome, valuation)
+            yield GameModel(agents, states, avail, outcome, valuation)
 
 
 def random_model(bounds: GeneratorBounds, seed: int) -> GameModel:
     """One model of the exact shape, outcomes and labels drawn uniformly
     and independently; the same seed always yields the same model."""
     rng = random.Random(seed)
-    _, states, _, slots, _ = _skeleton(bounds)
+    agents, states, avail, slots = _skeleton(bounds)
     outcome = {slot: states[rng.randrange(bounds.states)] for slot in slots}
     valuation = {}
     for atom in bounds.atoms:
         marked = frozenset(s for s in states if rng.random() < 0.5)
         if marked:
             valuation[atom] = marked
-    return _assemble(bounds, outcome, valuation)
+    return GameModel(agents, states, avail, outcome, valuation)
 
 
 # -- scheme registry ----------------------------------------------------------
@@ -447,6 +435,12 @@ class SuiteConfig:
     budget: int = 2000
     stress: bool = False
     cap: int = 10 ** 6
+
+    def __post_init__(self):
+        if self.random_models < 0 or self.budget < 0:
+            raise InputError("the random model count and the budget must be at least 0")
+        if not all(isinstance(tag, str) for tag in (*(self.include or ()), *self.exclude)):
+            raise InputError("scheme tags must be strings")
 
 
 @dataclass

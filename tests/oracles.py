@@ -1,14 +1,18 @@
 """Independent re-implementations used as oracles by the test suite.
 
 Everything here deliberately avoids the package's evaluation machinery:
-no bitmasks, no memoization, no shared tables.  Joint actions, outcome
+no bitmasks and no engine tables.  Joint actions, outcome
 sets and the operator quantifier nests are spelled out directly over the
-model's raw fields.
+model's raw fields.  brute_holds recomputes every outcome set it needs;
+brute_extension collects each joint assignment and outcome set once,
+keeping them in a dict its caller may share across formulas of one model.
 """
 
 import itertools
+import random
 
 from constr.formula import And, Atom, Not, Obeta, Oalpha, Oc, Top
+from constr.model import GameModel
 
 # static structure only (availability products); truth values are never
 # cached.  Models are pinned so id-based keys can never be recycled.
@@ -49,15 +53,26 @@ def brute_merge(first, second):
     return combined
 
 
-def _brute_operator_at(model, state, op, a, b, in_cond, in_goal):
+def _brute_operator_at(model, state, op, a, b, in_cond, in_goal, memo=None):
     """The quantifier nest of one strategic operator at one state; the
-    condition and goal are tests on states."""
+    condition and goal are tests on states.  With a `memo` dict, joint
+    assignments and outcome sets are looked up there first and kept."""
+
+    def remember(key, compute, *args):
+        if memo is None:
+            return compute(model, state, *args)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = compute(model, state, *args)
+        return got
 
     def secures(assignment, test):
-        return all(test(u) for u in brute_outcome_set(model, state, assignment))
+        outcomes = remember((state, "out", frozenset(assignment.items())),
+                            brute_outcome_set, assignment)
+        return all(test(u) for u in outcomes)
 
-    a_choices = joint_assignments(model, state, a)
-    b_choices = joint_assignments(model, state, b)
+    a_choices = remember((state, "joint", a), joint_assignments, a)
+    b_choices = remember((state, "joint", b), joint_assignments, b)
     if op is Oc:
         return any(
             secures(sa, in_cond) and any(secures(brute_merge(sa, sb), in_goal)
@@ -100,8 +115,52 @@ def brute_operator_states(model, op, a, b, cond_states, goal_states):
                               cond_states.__contains__, goal_states.__contains__))
 
 
-def brute_extension(model, f):
-    return frozenset(s for s in model.states if brute_holds(model, s, f))
+def brute_extension(model, f, memo=None):
+    """The states where f holds, evaluated bottom-up over f's syntax tree.
+
+    Joint assignments and outcome sets are collected from the raw model
+    fields on first use and kept in `memo`; a caller evaluating many
+    formulas on one model may pass the same dict to every call.  It
+    holds that static structure only, never truth values.
+    """
+    if memo is None:
+        memo = {}
+    everything = frozenset(model.states)
+
+    def ext(g):
+        if isinstance(g, Atom):
+            return frozenset(model.valuation.get(g.name, frozenset()))
+        if isinstance(g, Top):
+            return everything
+        if isinstance(g, Not):
+            return everything - ext(g.sub)
+        if isinstance(g, And):
+            return ext(g.left) & ext(g.right)
+        cond, goal = ext(g.phi), ext(g.psi)
+        return frozenset(s for s in model.states
+                         if _brute_operator_at(model, s, type(g), g.a, g.b,
+                                               cond.__contains__, goal.__contains__, memo))
+
+    return ext(f)
+
+
+def irregular_model(seed, agentless_state=False, sizes=(1, 4)):
+    """A seeded model whose (state, agent) pairs have 1-3 actions each and
+    whose state count lies in sizes; with agentless_state, one agent has
+    no action at one state."""
+    rng = random.Random(seed)
+    agents = ("a", "b", "c")[:rng.randint(1, 3)]
+    states = tuple(f"s{i}" for i in range(rng.randint(*sizes)))
+    avail = {(s, ag): tuple(f"{ag}{j}" for j in range(rng.randint(1, 3)))
+             for s in states for ag in agents}
+    if agentless_state:
+        avail[rng.choice(states), rng.choice(agents)] = ()
+    outcome = {(s, profile): rng.choice(states)
+               for s in states
+               for profile in itertools.product(*(avail[s, ag] for ag in agents))}
+    valuation = {atom: frozenset(s for s in states if rng.random() < 0.5)
+                 for atom in ("p", "q")}
+    return GameModel(agents, states, avail, outcome, valuation)
 
 
 # -- exhaustive relation search ------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, formatter idempotence."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -61,6 +62,20 @@ def test_deeply_nested_formula_exits_2(runner, workdir, text):
         r = runner.invoke(main, args)
         assert r.exit_code == 2
         assert "error: formula: formula nested too deeply" in r.stderr
+
+
+def test_golden_witnesses(runner, tmp_path):
+    # check --explain texts and JSON, and bisim verdicts, byte for byte;
+    # each case names fixture files, which live in tmp_path
+    cases = json.loads((Path(__file__).parent / "golden_witness.json").read_text("utf-8"))
+    for name in ("ex1.cgm", "ex2.cgm", "exA.cgm", "exA.rel", "exB.cgm", "exB.rel",
+                 "exC.cgm", "exC.rel"):
+        (tmp_path / name).write_text(fixture_text(name), encoding="utf-8")
+    for case in cases:
+        argv = [str(tmp_path / x) if x.endswith((".cgm", ".rel")) else x
+                for x in case["argv"]]
+        r = runner.invoke(main, argv)
+        assert (r.exit_code, r.stdout) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_invalid_model_rejected(runner, workdir):
@@ -160,6 +175,28 @@ def test_validate_config_file_and_env(runner, tmp_path, monkeypatch):
     r = runner.invoke(main, ["validate", "--config", str(cfg)])
     assert r.exit_code == 0, r.output
     assert "pass Ob2" in r.output and "pass ObAntiMon" in r.output
+
+
+@pytest.mark.parametrize("text", [
+    "[1]", '"x"', '{"schemes": 5}', '{"bounds": 5}', '{"schemes": [5, "x"]}',
+    '{"seed": null}', '{"random": -1}', '{"budget": -5}',
+], ids=["list", "string", "schemes-int", "bounds-int", "schemes-mixed", "seed-null",
+        "random-negative", "budget-negative"])
+def test_validate_bad_config_exits_2(runner, tmp_path, text):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(text, encoding="utf-8")
+    r = runner.invoke(main, ["validate", "--config", str(cfg)])
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: ") and isinstance(r.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args", [["--budget", "-5", "--random", "1"],
+                                  ["--random", "-1", "--budget", "0"]],
+                         ids=["budget", "random"])
+def test_validate_negative_counts_exit_2(runner, args):
+    r = runner.invoke(main, ["validate", "--bounds", "2,1,1", *args])
+    assert r.exit_code == 2, r.output
+    assert "error: the random model count and the budget must be at least 0" in r.output
 
 
 def test_validate_rejects_unknown_scheme(runner):

@@ -16,7 +16,7 @@ from constr.model import (
 from constr.textio import parse_model, render_model
 from constr.validity import GeneratorBounds, random_model
 
-from oracles import brute_outcome_set, joint_assignments
+from oracles import brute_merge, brute_outcome_set, irregular_model, joint_assignments
 
 
 def ja(state, **moves):
@@ -135,6 +135,28 @@ def test_outcome_set_equals_brute_union():
                 for assignment in joint_assignments(m, state, coalition):
                     got = outcome_set(m, state, JointAction.of(state, assignment))
                     assert got == brute_outcome_set(m, state, assignment)
+
+
+def test_outcome_tables_equal_brute_force_tables():
+    # 1-3 actions per (state, agent), every (A, B) including overlapping
+    # ones, and models where one agent has no action at one state
+    models = [irregular_model(seed) for seed in range(30)]
+    models += [irregular_model(seed, agentless_state=True) for seed in range(100, 115)]
+    assert any(() in m.avail.values() for m in models)
+    for m in models:
+        subsets = coalitions(m.agents)
+        for s in m.states:
+            def out(assignment):
+                return m.bits_of(brute_outcome_set(m, s, assignment))
+
+            for a in subsets:
+                choices_a = joint_assignments(m, s, a)
+                assert m.out_bits_table(s, a) == tuple(map(out, choices_a))
+                for b in subsets:
+                    choices_b = joint_assignments(m, s, b)
+                    assert m.merged_out_bits(s, a, b) == tuple(
+                        tuple(out(brute_merge(x, y)) for y in choices_b)
+                        for x in choices_a), (s, a, b)
 
 
 def test_extending_coalition_shrinks_outcomes():

@@ -34,7 +34,7 @@ from constr.semantics import (
 from constr.textio import parse_model
 from constr.validity import GeneratorBounds, random_model
 
-from oracles import brute_holds, brute_operator_states
+from oracles import brute_extension, brute_holds, brute_operator_states, irregular_model
 
 p, q = Atom("p"), Atom("q")
 
@@ -235,6 +235,21 @@ def test_engine_agrees_with_brute_force_spot_checks():
             assert holds(m, s, f) == brute_holds(m, s, f)
 
 
+def test_brute_extension_agrees_with_brute_holds():
+    # the two oracles share the quantifier nest but not the outcome sets
+    rng = random.Random(5)
+    models = [irregular_model(seed) for seed in range(30)]
+    models += [irregular_model(seed, agentless_state=True) for seed in range(200, 210)]
+    models += [random_model(GeneratorBounds(2, 1 + i % 3, 2), 700 + i) for i in range(20)]
+    models += [parse_model(fixture_text(f.model_file)) for f in FIXTURES]
+    for m in models:
+        memo: dict = {}
+        for _ in range(8):
+            f = random_formula(rng, ["p", "q"], m.agents, 2)
+            assert brute_extension(m, f, memo) == frozenset(
+                s for s in m.states if brute_holds(m, s, f)), (m.states, f)
+
+
 def test_operator_evaluator_agrees_with_brute_force():
     # (agents, states, actions): every value of 1-3 agents, 1-4 states and
     # 1-3 actions, kept small enough for the oracle to take every
@@ -292,31 +307,11 @@ def test_agent_without_actions_answers_everywhere():
     assert explain(m, "s0", g).value is False
 
 
-def _irregular_model(seed: int, agentless_state: bool = False,
-                     sizes: tuple[int, int] = (1, 4)) -> GameModel:
-    """A seeded model whose (state, agent) pairs have 1-3 actions each and
-    whose state count lies in sizes; with agentless_state, one agent has
-    no action at one state."""
-    rng = random.Random(seed)
-    agents = ("a", "b", "c")[:rng.randint(1, 3)]
-    states = tuple(f"s{i}" for i in range(rng.randint(*sizes)))
-    avail = {(s, ag): tuple(f"{ag}{j}" for j in range(rng.randint(1, 3)))
-             for s in states for ag in agents}
-    if agentless_state:
-        avail[rng.choice(states), rng.choice(agents)] = ()
-    outcome = {(s, profile): rng.choice(states)
-               for s in states
-               for profile in itertools.product(*(avail[s, ag] for ag in agents))}
-    valuation = {atom: frozenset(s for s in states if rng.random() < 0.5)
-                 for atom in ("p", "q")}
-    return GameModel(agents, states, avail, outcome, valuation)
-
-
 def test_operator_evaluator_on_irregular_availability():
     # the kernel tables map profiles to cells through one projection per
     # availability shape; random_model only makes uniform shapes
-    models = [_irregular_model(seed) for seed in range(24)]
-    models += [_irregular_model(seed, agentless_state=True) for seed in range(100, 112)]
+    models = [irregular_model(seed) for seed in range(24)]
+    models += [irregular_model(seed, agentless_state=True) for seed in range(100, 112)]
     models += [parse_model(fixture_text(f.model_file)) for f in FIXTURES]
     assert any(len(set(m.avail.values())) > 1 for m in models)
     rng = random.Random(23)
@@ -341,8 +336,8 @@ def test_index_path_agrees_with_kernel_and_brute_force(monkeypatch):
     above = (INDEX_CUTOFF_STATES + 1, INDEX_CUTOFF_STATES + 5)
     models = [random_model(GeneratorBounds(agents, INDEX_CUTOFF_STATES + agents, 2), 900 + agents)
               for agents in (2, 3, 4)]
-    models += [_irregular_model(seed, sizes=above) for seed in range(4)]
-    models += [_irregular_model(seed, agentless_state=True, sizes=above)
+    models += [irregular_model(seed, sizes=above) for seed in range(4)]
+    models += [irregular_model(seed, agentless_state=True, sizes=above)
                for seed in range(100, 104)]
     assert any(len(set(m.avail.values())) > 1 for m in models)
     rng = random.Random(29)

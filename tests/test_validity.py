@@ -217,11 +217,16 @@ def test_budget_semantics():
     found = run_suite(SuiteConfig(include=("ObAntiMon",), budget=1, random_models=0))
     assert found.ok
     assert found.outcomes[0].verdict.models_tried == 1
+    for counts in ({"budget": -5}, {"random_models": -1}):
+        with pytest.raises(InputError):
+            SuiteConfig(**counts)
 
 
 def test_unknown_scheme_tag_rejected():
     with pytest.raises(InputError):
         run_suite(SuiteConfig(include=("NotAScheme",)))
+    with pytest.raises(InputError):
+        SuiteConfig(include=(5, "Oc5"))
 
 
 def test_include_exclude_selection():
