@@ -177,6 +177,11 @@ def distinguish(model_path, state_s, state_t, as_json):
     sys.exit(1 if f is None else 0)
 
 
+# the keys of a `validate --config` file, one per option of the same name
+_CONFIG_KEYS = frozenset(("bounds", "random", "seed", "seeds", "schemes", "exclude", "budget",
+                          "stress"))
+
+
 def _parse_bounds_spec(spec: str) -> validity.GeneratorBounds:
     parts = spec.split(",")
     if len(parts) not in (3, 4):
@@ -220,6 +225,11 @@ def validate(bounds_specs, random_models, seed, seeds, schemes, exclude,
             _fail_input(f"{config_path}: {exc}")
         if not isinstance(file_cfg, dict):
             _fail_input(f"{config_path}: the config must be a JSON object")
+        unknown = sorted(file_cfg.keys() - _CONFIG_KEYS)
+        if unknown:
+            _fail_input(f"{config_path}: unknown config keys: {', '.join(unknown)}")
+        if not isinstance(file_cfg.get("stress", False), bool):
+            _fail_input(f"{config_path}: \"stress\" must be true or false")
     try:
         if not bounds_specs and "bounds" in file_cfg:
             bounds_specs = [",".join(str(x) for x in b) for b in file_cfg["bounds"]]
@@ -252,7 +262,7 @@ def validate(bounds_specs, random_models, seed, seeds, schemes, exclude,
             include=include,
             exclude=excluded,
             budget=budget,
-            stress=stress or bool(file_cfg.get("stress", False)),
+            stress=stress or file_cfg.get("stress", False),
         )
     except TypeError as exc:
         # flags arrive typed, so only a config file value can be mistyped

@@ -11,6 +11,12 @@ every outcome table, here and in the operator evaluator, is read
 through it.  Derived tables are cached lazily per model, except the
 availability-only profile products, which are cached by value, so that
 models with equal action sets (such as a generated family) share them.
+
+The first of those tables is the successor table: one outcome lookup
+per profile of each state's availability product.  validate_model reads
+totality from it, and the kernel tables and the preimage index that
+answer later operator calls reuse it; the outcome map is scanned entry
+by entry only when the table does not account for every entry.
 """
 
 from __future__ import annotations
@@ -196,16 +202,22 @@ class GameModel:
         return {}
 
     def _succ_bits(self, state: State):
-        """Successor state bit per profile index; None where the outcome
-        map has a hole (only valid models get evaluated)."""
+        """Successor state bit per profile index, one outcome lookup per
+        profile of the availability product; None where the outcome map
+        has a hole.  A successor outside the states raises InputError."""
         cached = self._succ_cache.get(state)
         if cached is not None:
             return cached
         idx = self.state_index
+        get = self.outcome.get
         succ = []
-        for profile in self.profiles(state):
-            target = self.outcome.get((state, profile))
-            succ.append(None if target is None else 1 << idx[target])
+        try:
+            for profile in self.profiles(state):
+                target = get((state, profile))
+                succ.append(None if target is None else 1 << idx[target])
+        except KeyError as exc:
+            raise InputError(f"outcome at {state} leads to undeclared "
+                             f"state {exc.args[0]!r}") from None
         succ = tuple(succ)
         self._succ_cache[state] = succ
         return succ
@@ -427,24 +439,39 @@ def validate_model(model: GameModel) -> list[Violation]:
                 report.append(Violation(
                     "empty action set", "every agent needs at least one action", state=s, agent=a))
 
-    # outcome entries must sit exactly on the availability product
-    product = {s: set(model.profiles(s)) for s in model.states}
-
-    for (s, profile), target in model.outcome.items():
-        if s not in states:
-            report.append(Violation("unknown state", f"outcome declared at {s!r}", state=s, profile=profile))
-            continue
-        if profile not in product[s]:
-            report.append(Violation(
-                "unavailable profile", "outcome declared for a profile outside the availability product",
-                state=s, profile=profile))
-        if target not in states:
-            report.append(Violation(
-                "unknown target", f"outcome leads to undeclared state {target!r}", state=s, profile=profile))
-
-    for s in model.states:
-        for profile in sorted(p for p in product[s] if (s, p) not in model.outcome):
-            report.append(Violation("outcome not total", "no successor for profile", state=s, profile=profile))
+    # outcome entries must sit exactly on the availability product.  With
+    # distinct states and actions, the successor table the evaluator reads
+    # holds one lookup per product profile; when its successors account
+    # for every entry, no entry lies off the product or leads outside the
+    # states, and its holes are the missing profiles.
+    rows = None
+    if not any(v.kind in ("duplicate state", "duplicate action") for v in report):
+        try:
+            rows = [model._succ_bits(s) for s in model.states]
+        except InputError:
+            pass  # a successor outside the states; the scan below names it
+    if rows is not None and sum(len(r) - r.count(None) for r in rows) == len(model.outcome):
+        for s, row in zip(model.states, rows):
+            if None in row:
+                holes = sorted(p for p, sb in zip(model.profiles(s), row) if sb is None)
+                report.extend(Violation("outcome not total", "no successor for profile",
+                                        state=s, profile=p) for p in holes)
+    else:
+        product = {s: set(model.profiles(s)) for s in model.states}
+        for (s, profile), target in model.outcome.items():
+            if s not in states:
+                report.append(Violation("unknown state", f"outcome declared at {s!r}", state=s, profile=profile))
+                continue
+            if profile not in product[s]:
+                report.append(Violation(
+                    "unavailable profile", "outcome declared for a profile outside the availability product",
+                    state=s, profile=profile))
+            if target not in states:
+                report.append(Violation(
+                    "unknown target", f"outcome leads to undeclared state {target!r}", state=s, profile=profile))
+        for s in model.states:
+            for profile in sorted(p for p in product[s] if (s, p) not in model.outcome):
+                report.append(Violation("outcome not total", "no successor for profile", state=s, profile=profile))
 
     for atom, ss in model.valuation.items():
         for s in sorted(ss):

@@ -8,6 +8,13 @@ Model format (UTF-8, `#` starts a comment):
     actions s0 a: a1 a2       # one line per state and agent
     go s0 (a1,b1) -> s1       # one line per full profile, in agent order
 
+A go line that starts `go ` and splits into the five tokens
+render_model writes, `go S (a1,b1,...) -> T`, is read by a first
+branch: one split, and a profile tuple shared by every line with the
+same `(...)` token.  Every other line, and every such line that branch
+would reject, goes through the general branch, which gives each error
+message and line number.
+
 Relation format: one `s ~ t` pair per line.
 """
 
@@ -24,6 +31,20 @@ def _fail(lineno: int, msg: str):
     raise ParseError(f"line {lineno}: {msg}")
 
 
+def _canonical_profile(token: str, n_agents: int) -> tuple[str, ...] | None:
+    """The profile of a `(a1,b1,...)` token, or None where the general
+    branch would read the line differently or reject it."""
+    inner = token[1:-1]
+    if (token[:1] != "(" or token[-1:] != ")"
+            or "(" in inner or ")" in inner or "#" in inner):
+        return None
+    # a token holds no blank, so no action needs stripping
+    profile = tuple(inner.split(","))
+    if len(profile) != n_agents or "" in profile:
+        return None
+    return profile
+
+
 def parse_model(text: str) -> GameModel:
     """Parse the textual model format, in time linear in its length.
 
@@ -31,6 +52,13 @@ def parse_model(text: str) -> GameModel:
     Duplicate `labels`, `actions` or `go` lines for the same key are
     rejected; totality of the outcome map is left to validate_model so
     that partial files can still be loaded and diagnosed.
+
+    A go line that starts `go ` and splits into the five tokens
+    `go S (a1,b1,...) -> T` is stored by a first branch that takes its
+    profile tuple from a per-parse dict keyed by the `(...)` token, so
+    each distinct profile is checked once and shared.  Any other line,
+    and any such line that branch would reject, goes through the
+    general branch, which gives every error message and line number.
     """
     agents: tuple[str, ...] | None = None
     states: tuple[str, ...] | None = None
@@ -39,8 +67,27 @@ def parse_model(text: str) -> GameModel:
     avail: dict[tuple[str, str], tuple[str, ...]] = {}
     outcome: dict[tuple[str, tuple[str, ...]], str] = {}
     labels: dict[str, tuple[str, ...]] = {}
+    # declared state name -> itself, so stored keys share its string
+    state_of: dict[str, str] = {}
+    # `(...)` token -> its profile tuple, once agents are declared
+    profile_of: dict[str, tuple[str, ...]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.startswith("go "):
+            tokens = raw.split()
+            if len(tokens) == 5 and tokens[3] == "->":
+                state = state_of.get(tokens[1])
+                target = state_of.get(tokens[4])
+                profile = profile_of.get(tokens[2])
+                if profile is None and agents is not None:
+                    profile = _canonical_profile(tokens[2], len(agents))
+                    if profile is not None:
+                        profile_of[tokens[2]] = profile
+                if (state is not None and target is not None and profile is not None
+                        and (state, profile) not in outcome):
+                    outcome[(state, profile)] = target
+                    continue
+
         line = raw.partition("#")[0].strip()
         if not line:
             continue
@@ -65,6 +112,7 @@ def parse_model(text: str) -> GameModel:
             state_set = frozenset(states)
             if len(state_set) != len(states):
                 _fail(lineno, "repeated state name")
+            state_of = {s: s for s in states}
             continue
 
         if agents is None or states is None:

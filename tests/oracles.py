@@ -6,13 +6,16 @@ sets and the operator quantifier nests are spelled out directly over the
 model's raw fields.  brute_holds recomputes every outcome set it needs;
 brute_extension collects each joint assignment and outcome set once,
 keeping them in a dict its caller may share across formulas of one model.
+reference_parse_model and reference_validate_model read model text line
+by line and check the outcome map entry by entry, one branch per case.
 """
 
 import itertools
 import random
+import re
 
 from constr.formula import And, Atom, Not, Obeta, Oalpha, Oc, Top
-from constr.model import GameModel
+from constr.model import GameModel, ParseError, Violation
 
 # static structure only (availability products); truth values are never
 # cached.  Models are pinned so id-based keys can never be recycled.
@@ -201,3 +204,182 @@ def exhaustive_greatest(model, checker):
             if checker(model, candidate).ok:
                 union |= candidate
     return frozenset(union)
+
+
+# -- model text and validation referees ---------------------------------
+#
+# The parser and the validator as they were before the engine gained its
+# canonical go-line branch and its successor-table totality check: one
+# branch per line kind, one scan per outcome entry.
+
+_GO_RE = re.compile(r"^go\s+(\S+)\s+\(([^()]*)\)\s*->\s*(\S+)$")
+
+
+def _fail(lineno, msg):
+    raise ParseError(f"line {lineno}: {msg}")
+
+
+def reference_parse_model(text: str) -> GameModel:
+    """The line-by-line model parser: every line goes through one branch.
+
+    Declaration lines (`agents:`, `states:`) must precede any use.
+    Duplicate `labels`, `actions` or `go` lines for the same key are
+    rejected; totality of the outcome map is left to validate_model so
+    that partial files can still be loaded and diagnosed.
+    """
+    agents: tuple[str, ...] | None = None
+    states: tuple[str, ...] | None = None
+    agent_set: frozenset = frozenset()
+    state_set: frozenset = frozenset()
+    avail: dict[tuple[str, str], tuple[str, ...]] = {}
+    outcome: dict[tuple[str, tuple[str, ...]], str] = {}
+    labels: dict[str, tuple[str, ...]] = {}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+
+        if line.startswith("agents:"):
+            if agents is not None:
+                _fail(lineno, "duplicate agents line")
+            agents = tuple(line[len("agents:"):].split())
+            if not agents:
+                _fail(lineno, "agents line declares no agents")
+            agent_set = frozenset(agents)
+            if len(agent_set) != len(agents):
+                _fail(lineno, "repeated agent name")
+            continue
+
+        if line.startswith("states:"):
+            if states is not None:
+                _fail(lineno, "duplicate states line")
+            states = tuple(line[len("states:"):].split())
+            if not states:
+                _fail(lineno, "states line declares no states")
+            state_set = frozenset(states)
+            if len(state_set) != len(states):
+                _fail(lineno, "repeated state name")
+            continue
+
+        if agents is None or states is None:
+            _fail(lineno, "agents: and states: must be declared first")
+
+        if line.startswith("go "):
+            m = _GO_RE.match(line)
+            if not m:
+                _fail(lineno, "expected 'go STATE (a1,b1,...) -> STATE'")
+            state, profile_text, target = m.groups()
+            if state not in state_set:
+                _fail(lineno, f"unknown state {state!r}")
+            if target not in state_set:
+                _fail(lineno, f"unknown state {target!r}")
+            profile = tuple(map(str.strip, profile_text.split(",")))
+            if len(profile) != len(agents) or "" in profile:
+                _fail(lineno, f"profile must list one action per agent ({len(agents)} expected)")
+            if (state, profile) in outcome:
+                _fail(lineno, f"duplicate go line for ({','.join(profile)}) at {state}")
+            outcome[(state, profile)] = target
+            continue
+
+        if line.startswith("labels "):
+            head, sep, rest = line[len("labels "):].partition(":")
+            if not sep:
+                _fail(lineno, "labels line needs a ':'")
+            state = head.strip()
+            if state not in state_set:
+                _fail(lineno, f"unknown state {state!r}")
+            if state in labels:
+                _fail(lineno, f"duplicate labels line for {state}")
+            labels[state] = tuple(rest.split())
+            continue
+
+        if line.startswith("actions "):
+            head, sep, rest = line[len("actions "):].partition(":")
+            if not sep:
+                _fail(lineno, "actions line needs a ':'")
+            parts = head.split()
+            if len(parts) != 2:
+                _fail(lineno, "expected 'actions STATE AGENT: ...'")
+            state, agent = parts
+            if state not in state_set:
+                _fail(lineno, f"unknown state {state!r}")
+            if agent not in agent_set:
+                _fail(lineno, f"unknown agent {agent!r}")
+            if (state, agent) in avail:
+                _fail(lineno, f"duplicate actions line for {state} {agent}")
+            acts = tuple(rest.split())
+            if len(set(acts)) != len(acts):
+                _fail(lineno, "repeated action name")
+            avail[(state, agent)] = acts
+            continue
+
+        _fail(lineno, f"unrecognized line {line!r}")
+
+    if agents is None or states is None:
+        raise ParseError("model text must declare agents: and states:")
+
+    labelled: dict[str, list[str]] = {}
+    for state, atoms in labels.items():
+        for atom in atoms:
+            labelled.setdefault(atom, []).append(state)
+    valuation = {atom: frozenset(ss) for atom, ss in labelled.items()}
+
+    return GameModel(agents=agents, states=states, avail=avail,
+                     outcome=outcome, valuation=valuation)
+
+
+def reference_validate_model(model: GameModel) -> list[Violation]:
+    """Every structural invariant checked entry by entry over the raw fields."""
+    report: list[Violation] = []
+    states = set(model.states)
+    agents = set(model.agents)
+
+    if len(set(model.agents)) != len(model.agents):
+        report.append(Violation("duplicate agent", "agent list contains repeats"))
+    if len(states) != len(model.states):
+        report.append(Violation("duplicate state", "state list contains repeats"))
+    if not model.states:
+        report.append(Violation("no states", "model must have at least one state"))
+    if not model.agents:
+        report.append(Violation("no agents", "model must have at least one agent"))
+
+    for (s, a), acts in model.avail.items():
+        if s not in states:
+            report.append(Violation("unknown state", f"action set declared for {s!r}", state=s, agent=a))
+        if a not in agents:
+            report.append(Violation("unknown agent", f"action set declared for {a!r}", state=s, agent=a))
+        if len(set(acts)) != len(acts):
+            report.append(Violation("duplicate action", "repeated action name", state=s, agent=a))
+
+    for s in model.states:
+        for a in model.agents:
+            if not model.avail.get((s, a)):
+                report.append(Violation(
+                    "empty action set", "every agent needs at least one action", state=s, agent=a))
+
+    # outcome entries must sit exactly on the availability product
+    product = {s: set(model.profiles(s)) for s in model.states}
+
+    for (s, profile), target in model.outcome.items():
+        if s not in states:
+            report.append(Violation("unknown state", f"outcome declared at {s!r}", state=s, profile=profile))
+            continue
+        if profile not in product[s]:
+            report.append(Violation(
+                "unavailable profile", "outcome declared for a profile outside the availability product",
+                state=s, profile=profile))
+        if target not in states:
+            report.append(Violation(
+                "unknown target", f"outcome leads to undeclared state {target!r}", state=s, profile=profile))
+
+    for s in model.states:
+        for profile in sorted(p for p in product[s] if (s, p) not in model.outcome):
+            report.append(Violation("outcome not total", "no successor for profile", state=s, profile=profile))
+
+    for atom, ss in model.valuation.items():
+        for s in sorted(ss):
+            if s not in states:
+                report.append(Violation("unknown state", f"atom {atom!r} labels undeclared state", state=s))
+
+    return report

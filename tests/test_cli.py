@@ -180,8 +180,10 @@ def test_validate_config_file_and_env(runner, tmp_path, monkeypatch):
 @pytest.mark.parametrize("text", [
     "[1]", '"x"', '{"schemes": 5}', '{"bounds": 5}', '{"schemes": [5, "x"]}',
     '{"seed": null}', '{"random": -1}', '{"budget": -5}',
+    '{"stress": "no"}', '{"stress": 1}', '{"json": 1}', '{"random": 0, "budgets": 1}',
 ], ids=["list", "string", "schemes-int", "bounds-int", "schemes-mixed", "seed-null",
-        "random-negative", "budget-negative"])
+        "random-negative", "budget-negative", "stress-string", "stress-int",
+        "unknown-key", "misspelt-key"])
 def test_validate_bad_config_exits_2(runner, tmp_path, text):
     cfg = tmp_path / "suite.json"
     cfg.write_text(text, encoding="utf-8")

@@ -1,9 +1,14 @@
 """Game model structure: validation, joint actions, merge, outcome sets."""
 
+import random
+
 import pytest
 
+from constr.bisim import distinguishing_formula, greatest_cl_bisim
 from constr.corpus import fixture_model, fixture_text
+from constr.formula import parse_formula
 from constr.model import (
+    GameModel,
     InputError,
     JointAction,
     coalitions,
@@ -13,10 +18,17 @@ from constr.model import (
     outcome_set,
     validate_model,
 )
+from constr.semantics import holds
 from constr.textio import parse_model, render_model
 from constr.validity import GeneratorBounds, random_model
 
-from oracles import brute_merge, brute_outcome_set, irregular_model, joint_assignments
+from oracles import (
+    brute_merge,
+    brute_outcome_set,
+    irregular_model,
+    joint_assignments,
+    reference_validate_model,
+)
 
 
 def ja(state, **moves):
@@ -75,9 +87,83 @@ def test_unavailable_profile_reported():
     assert any(v.kind == "unavailable profile" for v in validate_model(m))
 
 
+def _malformed_fields(model, rng):
+    """The model's fields with one to three structural defects."""
+    agents, states = list(model.agents), list(model.states)
+    avail, outcome = dict(model.avail), dict(model.outcome)
+    valuation = dict(model.valuation)
+    for _ in range(rng.randint(1, 3)):
+        s, profile = rng.choice(list(model.outcome) or [(model.states[0], ())])
+        agent = rng.choice(model.agents)
+        kind = rng.randrange(13)
+        if kind == 0:
+            outcome.pop((s, profile), None)
+        elif kind == 1:
+            outcome[(s, profile)] = "zz"
+        elif kind == 2:
+            outcome[("zz", profile)] = s
+        elif kind == 3:
+            outcome[(s, profile[:-1] + ("x9",))] = s
+        elif kind == 4:
+            outcome[(s, profile + ("x9",))] = s
+        elif kind == 5:
+            avail[(s, agent)] = avail.get((s, agent), ()) + avail.get((s, agent), ())[:1]
+        elif kind == 6:
+            avail[(s, agent)] = avail.get((s, agent), ()) + ("x9",)
+        elif kind == 7:
+            avail[(s, agent)] = ()
+        elif kind == 8:
+            states.append(s)
+        elif kind == 9:
+            avail[("zz", agent)] = avail[(s, "zz")] = ("x1",)
+        elif kind == 10:
+            valuation["p"] = valuation.get("p", frozenset()) | {"zz"}
+        elif kind == 11:
+            agents.append(agent)
+        else:
+            del (agents if rng.random() < 0.5 else states)[:]
+    return tuple(agents), tuple(states), avail, outcome, valuation
+
+
+def test_validation_agrees_with_entry_by_entry_referee():
+    rng = random.Random(1019)
+    bases = [random_model(GeneratorBounds(rng.randint(1, 3), rng.randint(1, 6), 2), k)
+             for k in range(20)]
+    bases += [irregular_model(k, agentless_state=k % 3 == 0) for k in range(20)]
+    kinds = set()
+    for base in bases:
+        for _ in range(10):
+            fields = _malformed_fields(base, rng)
+            report = validate_model(GameModel(*fields))
+            assert report == reference_validate_model(GameModel(*fields)), fields
+            kinds |= {v.kind for v in report}
+    assert kinds == {"duplicate agent", "duplicate state", "no states", "no agents",
+                     "unknown state", "unknown agent", "duplicate action",
+                     "empty action set", "unavailable profile", "unknown target",
+                     "outcome not total"}
+
+
 def test_unknown_target_is_parse_error():
     with pytest.raises(InputError):
         parse_model("agents: a\nstates: s0\nactions s0 a: a1\ngo s0 (a1) -> s9\n")
+
+
+def _undeclared_successor_model():
+    return GameModel(agents=("a",), states=("s0", "s1"),
+                     avail={("s0", "a"): ("a1",), ("s1", "a"): ("a1",)},
+                     outcome={("s0", ("a1",)): "zz", ("s1", ("a1",)): "s0"},
+                     valuation={"p": frozenset({"s0"})})
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m: holds(m, "s0", parse_formula("Oc[{a},{}](p, p)")),
+    greatest_cl_bisim,
+    lambda m: distinguishing_formula(m, "s0", "s1"),
+], ids=["holds", "greatest_cl_bisim", "distinguishing_formula"])
+def test_undeclared_successor_is_input_error(entry):
+    # a model built in code skips the parser's target check
+    with pytest.raises(InputError, match="outcome at s0 leads to undeclared state 'zz'"):
+        entry(_undeclared_successor_model())
 
 
 def test_joint_actions_shapes():

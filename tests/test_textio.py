@@ -1,11 +1,15 @@
 """Model and relation text formats: parsing, rendering, round-trips."""
 
+import random
+
 import pytest
 
 from constr.corpus import FIXTURES, fixture_text
-from constr.model import ParseError
+from constr.model import ParseError, validate_model
 from constr.textio import parse_model, parse_relation, render_model, render_relation
 from constr.validity import GeneratorBounds, random_model
+
+from oracles import irregular_model, reference_parse_model, reference_validate_model
 
 
 def test_fixture_files_round_trip():
@@ -143,3 +147,97 @@ def test_relation_checks_states_against_model():
 def test_relation_bad_syntax():
     with pytest.raises(ParseError):
         parse_relation("s0 t0\n")
+
+
+# -- differential test against the line-by-line referees ---------------
+
+# blanks the general branch reads as whitespace: tab, two spaces, and
+# Unicode spaces that str.split() and the go-line pattern's \s both take
+_BLANKS = ("\t", "  ", "\u00a0", "\u2003", "\u3000", "\x1f")
+
+
+def _swap_token(line, pos, new):
+    tokens = line.split(" ")
+    if len(tokens) > pos:
+        tokens[pos] = new
+    return [" ".join(tokens)]
+
+
+def _blank(line, rng):
+    spaces = [i for i, ch in enumerate(line) if ch == " "]
+    if not spaces:
+        return [line]
+    i = rng.choice(spaces)
+    return [line[:i] + rng.choice(_BLANKS) + line[i + 1:]]
+
+
+_MUTATIONS = (
+    _blank,
+    lambda line, rng: [rng.choice(_BLANKS) + line],
+    lambda line, rng: [line + rng.choice((" # note", "# note", "\t#"))],
+    lambda line, rng: [line.replace(*rng.choice((("(", "(#"), (",", "#,"), (")", "#)"),
+                                                  (",", ")#("))), 1)],
+    lambda line, rng: ["go\t" + line[3:] if line.startswith("go ") else line],
+    lambda line, rng: [line.replace(",", ", ")],
+    lambda line, rng: [line.replace("(", "( ").replace(")", " )")],
+    lambda line, rng: [line.replace(" -> ", rng.choice(("->", " ->", "-> ")))],
+    lambda line, rng: [line.replace(",", ",,", 1)],
+    lambda line, rng: [line.replace(")", ",a1)")],
+    lambda line, rng: [line.replace(",", "", 1)],
+    lambda line, rng: [line.replace("(", "((", 1)],
+    lambda line, rng: _swap_token(line, 1, "zz"),
+    lambda line, rng: _swap_token(line, 4, rng.choice(("zz", "s0"))),
+    lambda line, rng: [line, line],
+    lambda line, rng: [line, line.rpartition(" ")[0] + " s0"],
+    lambda line, rng: [],
+)
+
+
+def _variants(text, rng, count):
+    """The text, its go lines moved before every actions line, and
+    `count` copies with one to three lines respelled or corrupted."""
+    lines = text.splitlines()
+    head = [ln for ln in lines if not ln.startswith(("actions ", "go "))]
+    yield text
+    yield "\n".join(head + [ln for ln in lines if ln.startswith("go ")]
+                    + [ln for ln in lines if ln.startswith("actions ")]) + "\n"
+    for _ in range(count):
+        out = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            if out:
+                i = rng.randrange(len(out))
+                out[i:i + 1] = rng.choice(_MUTATIONS)(out[i], rng)
+        yield "\n".join(out) + "\n"
+
+
+def _parsed(parse, text):
+    try:
+        m = parse(text)
+    except ParseError as exc:
+        return str(exc), None
+    fields = (m.agents, m.states, list(m.avail.items()), list(m.outcome.items()),
+              list(m.valuation.items()))
+    return fields, m
+
+
+def test_parser_and_validation_agree_with_line_by_line_referees():
+    rng = random.Random(20261019)
+    texts = [fixture_text(f.model_file) for f in FIXTURES]
+    for k in range(20):
+        bounds = GeneratorBounds(agents=rng.randint(1, 4), states=rng.randint(1, 50),
+                                 actions=rng.randint(1, 2), atoms=("p", "q"))
+        texts.append(render_model(random_model(bounds, k)))
+    texts += [render_model(irregular_model(k, agentless_state=k % 2 == 1)) for k in range(6)]
+    checked = rejected = 0
+    for text in texts:
+        for variant in _variants(text, rng, 20):
+            mine, model = _parsed(parse_model, variant)
+            ref, ref_model = _parsed(reference_parse_model, variant)
+            assert mine == ref, variant
+            checked += 1
+            if model is None:
+                rejected += 1
+            else:
+                assert validate_model(model) == reference_validate_model(ref_model), variant
+    # both outcomes are exercised: texts that parse and texts that do not
+    assert 0.2 * checked < rejected < 0.8 * checked
