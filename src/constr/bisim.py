@@ -11,7 +11,10 @@ Every "Back" condition at a pair (s, t) is the corresponding "Forth"
 condition at the swapped pair (t, s) under the inverse relation, so each
 clause is written once; taking the inverse rather than assuming symmetry
 is what makes non-symmetric relations (such as the diagonal between two
-embedded models) usable.
+embedded models) usable.  One driver (_pair_fails) runs Forth and then
+Back on the inverse for the checkers and the refinements alike, and one
+table (_KINDS) gives each kind of clause its evaluator, its Forth and
+Back tags and the operator that synthesis reads its failures as.
 
 Both greatest bisimulations are computed by block refinement: the
 coalition-logic one from the partition by atom valuation, the
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, or_
 from .model import (Coalition, GameModel, InputError, JointAction, State, coalitions,
@@ -46,13 +49,6 @@ FAMILY_REACTIVE = "beta"
 ALL_FAMILIES = (FAMILY_COOP, FAMILY_PROACTIVE, FAMILY_REACTIVE)
 _CL = "cl"  # the coalition-logic clause, as a kind of failing clause
 _EMPTY = frozenset()
-
-# (Forth tag, Back tag) per condition family
-_FAMILY_TAGS = {
-    FAMILY_COOP: ("A-Forth_c", "A-Back_c"),
-    FAMILY_PROACTIVE: ("B-Forth_alpha", "B-Back_alpha"),
-    FAMILY_REACTIVE: ("A-Forth_beta", "A-Back_beta"),
-}
 
 
 @dataclass(frozen=True)
@@ -235,76 +231,24 @@ def _reactive_clause(model, rel, s1, s2, a, b):
     return None
 
 
-_FAMILY_CLAUSES = {
-    FAMILY_COOP: _coop_clause,
-    FAMILY_PROACTIVE: _proactive_clause,
-    FAMILY_REACTIVE: _reactive_clause,
+class _Kind(NamedTuple):
+    """One kind of clause: its Forth evaluator, the tags its Forth and
+    Back halves report, and the operator synthesis reads a failure as."""
+
+    clause: Callable
+    forth: str
+    back: str
+    operator: type
+
+
+# the CL clause at c fails exactly where some <c>U = Oc[c,{}](U, U)
+# tells the states apart, so synthesis reads it as Oc
+_KINDS = {
+    _CL: _Kind(_cl_clause, "Forth", "Back", Oc),
+    FAMILY_COOP: _Kind(_coop_clause, "A-Forth_c", "A-Back_c", Oc),
+    FAMILY_PROACTIVE: _Kind(_proactive_clause, "B-Forth_alpha", "B-Back_alpha", Oalpha),
+    FAMILY_REACTIVE: _Kind(_reactive_clause, "A-Forth_beta", "A-Back_beta", Obeta),
 }
-_CLAUSES = {_CL: _cl_clause, **_FAMILY_CLAUSES}
-
-
-# -- checkers -------------------------------------------------------------
-
-
-def _atom_check(model, pairs):
-    sig = _labels(model)
-    for s, t in pairs:
-        if sig[s] != sig[t]:
-            return BisimFailure((s, t), "AtomEq")
-    return None
-
-
-def check_cl_bisim(model: GameModel, relation) -> BisimVerdict:
-    """Is the relation a coalition-logic bisimulation in the model?"""
-    pairs = _check_relation(model, relation)
-    bad = _atom_check(model, pairs)
-    if bad is not None:
-        return BisimVerdict(False, bad)
-    rel = _relation(model, pairs)
-    inv = rel[::-1]
-    for s, t in pairs:
-        for c in coalitions(model.agents):
-            for tag, x, y, r in zip(("Forth", "Back"), (s, t), (t, s), (rel, inv)):
-                witness = _cl_clause(model, r, x, y, c)
-                if witness is not None:
-                    return BisimVerdict(False, BisimFailure(
-                        (s, t), tag, coalition_a=c, witness=str(witness)))
-    return BisimVerdict(True)
-
-
-def check_constr_bisim(model: GameModel, relation,
-                       families=ALL_FAMILIES) -> BisimVerdict:
-    """Is the relation a bisimulation for the full conditional language?
-
-    The three condition families are checked in the given order; the
-    verdict reports the first violated clause.  Restricting `families`
-    probes a single operator's conditions in isolation.
-    """
-    unknown = set(families) - set(ALL_FAMILIES)
-    if unknown:
-        raise InputError(f"unknown condition families: {sorted(unknown)}")
-    pairs = _check_relation(model, relation)
-    bad = _atom_check(model, pairs)
-    if bad is not None:
-        return BisimVerdict(False, bad)
-    rel = _relation(model, pairs)
-    inv = rel[::-1]
-    coalition_pairs = _coalition_pairs(model.agents, disjoint_only=False)
-    for family in families:
-        clause = _FAMILY_CLAUSES[family]
-        tags = _FAMILY_TAGS[family]
-        for s, t in pairs:
-            for a, b in coalition_pairs:
-                for tag, x, y, r in zip(tags, (s, t), (t, s), (rel, inv)):
-                    witness = clause(model, r, x, y, a, b)
-                    if witness is not None:
-                        return BisimVerdict(False, BisimFailure(
-                            (s, t), tag, coalition_a=a, coalition_b=b,
-                            witness=str(witness)))
-    return BisimVerdict(True)
-
-
-# -- greatest fixpoints ---------------------------------------------------
 
 
 class _Reason(NamedTuple):
@@ -319,31 +263,81 @@ class _Reason(NamedTuple):
     witness: JointAction
 
 
+def _pair_fails(model: GameModel, tests):
+    """The pair test over the (kind, A, B) `tests` in order: the _Reason
+    of the first clause failing between s and t under rel, Forth at
+    (s, t) under rel or Back at (t, s) under the inverse, or None."""
+    tests = [(kind, _KINDS[kind].clause, a, b) for kind, a, b in tests]
+
+    def fails(rel, s, t):
+        inv = rel[::-1]
+        for kind, clause, a, b in tests:
+            witness = clause(model, rel, s, t, a, b)
+            if witness is not None:
+                return _Reason(kind, a, b, 0, witness)
+            witness = clause(model, inv, t, s, a, b)
+            if witness is not None:
+                return _Reason(kind, a, b, 1, witness)
+        return None
+
+    return fails
+
+
+# -- checkers -------------------------------------------------------------
+
+
+def _check(model: GameModel, relation, test_lists) -> BisimVerdict:
+    """The verdict on a relation: atom equivalence first, then each list
+    of (kind, A, B) tests over every pair in order; the first failing
+    clause is reported."""
+    pairs = _check_relation(model, relation)
+    sig = _labels(model)
+    for s, t in pairs:
+        if sig[s] != sig[t]:
+            return BisimVerdict(False, BisimFailure((s, t), "AtomEq"))
+    rel = _relation(model, pairs)
+    for tests in test_lists:
+        fails = _pair_fails(model, tests)
+        for pair in pairs:
+            reason = fails(rel, *pair)
+            if reason is not None:
+                kind = _KINDS[reason.kind]
+                return BisimVerdict(False, BisimFailure(
+                    pair, kind.back if reason.side else kind.forth, coalition_a=reason.a,
+                    coalition_b=None if reason.kind == _CL else reason.b,
+                    witness=str(reason.witness)))
+    return BisimVerdict(True)
+
+
+def check_cl_bisim(model: GameModel, relation) -> BisimVerdict:
+    """Is the relation a coalition-logic bisimulation in the model?"""
+    return _check(model, relation, [[(_CL, c, _EMPTY) for c in coalitions(model.agents)]])
+
+
+def check_constr_bisim(model: GameModel, relation,
+                       families=ALL_FAMILIES) -> BisimVerdict:
+    """Is the relation a bisimulation for the full conditional language?
+
+    The three condition families are checked in the given order; the
+    verdict reports the first violated clause.  Restricting `families`
+    probes a single operator's conditions in isolation.
+    """
+    unknown = set(families) - set(ALL_FAMILIES)
+    if unknown:
+        raise InputError(f"unknown condition families: {sorted(unknown)}")
+    pairs = _coalition_pairs(model.agents, disjoint_only=False)
+    return _check(model, relation, [[(f, a, b) for a, b in pairs] for f in families])
+
+
+# -- greatest fixpoints ---------------------------------------------------
+
+
 def _classes(states, key):
     """States grouped by key value, each group and the groups in state order."""
     groups: dict = {}
     for s in states:
         groups.setdefault(key(s), []).append(s)
     return [tuple(g) for g in groups.values()]
-
-
-def _pair_fails(model: GameModel, tests):
-    """The refinement's pair test over the (kind, A, B) `tests` in order:
-    the _Reason of the first clause failing Forth or Back between s and
-    t, or None."""
-    tests = [(kind, _CLAUSES[kind], a, b) for kind, a, b in tests]
-
-    def fails(rel, s, t):
-        for kind, clause, a, b in tests:
-            witness = clause(model, rel, s, t, a, b)
-            if witness is not None:
-                return _Reason(kind, a, b, 0, witness)
-            witness = clause(model, rel, t, s, a, b)
-            if witness is not None:
-                return _Reason(kind, a, b, 1, witness)
-        return None
-
-    return fails
 
 
 def _greatest(model: GameModel, blocks, pair_fails):
@@ -381,12 +375,7 @@ def _greatest(model: GameModel, blocks, pair_fails):
     """
     idx = model.state_index
     shapes = model.shapes
-    succ = []
-    for s in model.states:
-        bits = model._succ_bits(s)
-        if None in bits:
-            raise InputError(f"outcome map is not total at {s}")
-        succ.append([b.bit_length() - 1 for b in bits])
+    succ = [[b.bit_length() - 1 for b in model.successor_row(s)] for s in model.states]
     log = []
     while True:
         rows = [0] * len(model.states)
@@ -467,11 +456,6 @@ def greatest_constr_bisim(model: GameModel) -> Relation:
 class SynthesisError(RuntimeError):
     """A split of the refinement log could not be turned into a formula
     separating its two states."""
-
-
-# the operator each kind of failing clause is read as; the CL clause at
-# c fails exactly where some <c>U = Oc[c,{}](U, U) tells the states apart
-_OPERATORS = {_CL: Oc, FAMILY_COOP: Oc, FAMILY_PROACTIVE: Oalpha, FAMILY_REACTIVE: Obeta}
 
 
 def _literal_pool(model: GameModel) -> dict:
@@ -568,7 +552,7 @@ def _synthesis_table(model: GameModel):
 
         def separate(reason, x, y):
             """A formula over this round's classes, true at x, false at y."""
-            op = _OPERATORS[reason.kind]
+            op = _KINDS[reason.kind].operator
             a, b = reason.a, reason.b
             ix, iy = idx[x], idx[y]
 

@@ -195,22 +195,6 @@ def formula_agents(f: Formula) -> frozenset:
     return frozenset(agents)
 
 
-def formula_atoms(f: Formula) -> frozenset:
-    atoms: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            atoms.add(g.name)
-        elif isinstance(g, Not):
-            stack.append(g.sub)
-        elif isinstance(g, And):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, Strategic):
-            stack.extend((g.phi, g.psi))
-    return frozenset(atoms)
-
-
 # -- printer -------------------------------------------------------------
 
 

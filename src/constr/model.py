@@ -16,7 +16,11 @@ The first of those tables is the successor table: one outcome lookup
 per profile of each state's availability product.  validate_model reads
 totality from it, and the kernel tables and the preimage index that
 answer later operator calls reuse it; the outcome map is scanned entry
-by entry only when the table does not account for every entry.
+by entry only when the table does not account for every entry.  Every
+reader of a whole row (the cell tables, the preimage index, the
+bisimulation fixpoint) takes it from successor_row, which raises when
+the outcome map is not total at the state; out_bits checks only the
+profiles of its joint action.
 """
 
 from __future__ import annotations
@@ -137,22 +141,9 @@ class GameModel:
     def has_state(self, state: State) -> bool:
         return state in self.state_index
 
-    def actions(self, state: State, agent: Agent) -> tuple[Action, ...]:
-        if state not in self.state_index:
-            raise InputError(f"unknown state {state!r}")
-        if agent not in self.agent_index:
-            raise InputError(f"unknown agent {agent!r}")
-        return self.avail.get((state, agent), ())
-
     def profiles(self, state: State) -> tuple[tuple[Action, ...], ...]:
         """All full action profiles available at a state, in canonical order."""
         return _profile_product(tuple(self.avail.get((state, a), ()) for a in self.agents))
-
-    def successor(self, state: State, profile: tuple[Action, ...]) -> State:
-        try:
-            return self.outcome[(state, profile)]
-        except KeyError:
-            raise InputError(f"no outcome for profile ({','.join(profile)}) at {state}") from None
 
     # -- bitmask helpers (states as bit positions in canonical order) --
 
@@ -222,6 +213,14 @@ class GameModel:
         self._succ_cache[state] = succ
         return succ
 
+    def successor_row(self, state: State) -> tuple[int, ...]:
+        """The successor state bit of every profile at a state, in profile
+        order.  A hole in the outcome map there raises InputError."""
+        succ = self._succ_bits(state)
+        if None in succ:
+            raise InputError(f"outcome map is not total at {state}")
+        return succ
+
     def _positions(self, coalition: Coalition) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.agents) if a in coalition)
 
@@ -234,11 +233,8 @@ class GameModel:
         profile's cell."""
         n_a, n_r, cells = _cell_projection(self.shapes[self.state_index[state]],
                                            actors, responders)
-        succ = self._succ_bits(state)
-        if None in succ:
-            raise InputError(f"outcome map is not total at {state}")
         outs = [0] * (n_a * n_r)
-        for c, sb in zip(cells, succ):
+        for c, sb in zip(cells, self.successor_row(state)):
             outs[c] |= sb
         return n_a, n_r, outs
 

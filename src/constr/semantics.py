@@ -162,10 +162,7 @@ def _preimage_index(model: GameModel) -> list[_PreimageGroup]:
     over the states' successor bits."""
     by_shape: dict = {}
     for i, (s, shape) in enumerate(zip(model.states, model.shapes)):
-        succ = model._succ_bits(s)
-        if None in succ:
-            raise InputError(f"outcome map is not total at {s}")
-        by_shape.setdefault(shape, []).append((i, succ))
+        by_shape.setdefault(shape, []).append((i, model.successor_row(s)))
     return [_PreimageGroup(shape, rows) for shape, rows in by_shape.items()]
 
 

@@ -389,7 +389,7 @@ def _scheme_counterexample(scheme: Scheme, model: GameModel,
 
 
 def check_scheme(scheme: Scheme, models: Iterable[GameModel],
-                 substitutions=None, stop_at_first: bool = True) -> SchemeVerdict:
+                 substitutions=None) -> SchemeVerdict:
     """Sweep models for a violating instance of one scheme.
 
     The default instantiation follows the registry kind: the atom pair
@@ -402,11 +402,9 @@ def check_scheme(scheme: Scheme, models: Iterable[GameModel],
     found = None
     for model in models:
         tried += 1
-        cx = _scheme_counterexample(scheme, model, substitutions)
-        if cx is not None:
-            found = cx
-            if stop_at_first:
-                break
+        found = _scheme_counterexample(scheme, model, substitutions)
+        if found is not None:
+            break
     return SchemeVerdict(scheme.tag, tried, found)
 
 
@@ -434,7 +432,6 @@ class SuiteConfig:
     exclude: tuple[str, ...] = ()
     budget: int = 2000
     stress: bool = False
-    cap: int = 10 ** 6
 
     def __post_init__(self):
         if self.random_models < 0 or self.budget < 0:
@@ -504,7 +501,7 @@ def _random_bounds_cycle(i: int) -> GeneratorBounds:
 
 def valid_model_stream(config: SuiteConfig) -> Iterator[GameModel]:
     for bounds in config.exhaustive:
-        yield from enumerate_models(bounds, cap=config.cap)
+        yield from enumerate_models(bounds)
     if config.seeds is not None:
         for i, seed in enumerate(config.seeds):
             yield random_model(_random_bounds_cycle(i), seed)

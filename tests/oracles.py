@@ -8,14 +8,18 @@ brute_extension collects each joint assignment and outcome set once,
 keeping them in a dict its caller may share across formulas of one model.
 reference_parse_model and reference_validate_model read model text line
 by line and check the outcome map entry by entry, one branch per case.
+reference_check_cl_bisim and reference_check_constr_bisim are the one
+exception: they call the engine's bisimulation clauses and pin only the
+checkers' loops around them.
 """
 
 import itertools
 import random
 import re
 
+from constr import bisim
 from constr.formula import And, Atom, Not, Obeta, Oalpha, Oc, Top
-from constr.model import GameModel, ParseError, Violation
+from constr.model import GameModel, ParseError, Violation, coalitions
 
 # static structure only (availability products); truth values are never
 # cached.  Models are pinned so id-based keys can never be recycled.
@@ -383,3 +387,69 @@ def reference_validate_model(model: GameModel) -> list[Violation]:
                 report.append(Violation("unknown state", f"atom {atom!r} labels undeclared state", state=s))
 
     return report
+
+
+# -- bisimulation checker referees ---------------------------------------
+#
+# The two checkers as they were before they shared one Forth/Back driver
+# and one clause-kind table: each loop spells out its pairs, coalitions
+# and Forth/Back halves, with its own tag table.  The clauses themselves
+# are the engine's.
+
+_REFERENCE_TAGS = {
+    "c": ("A-Forth_c", "A-Back_c"),
+    "alpha": ("B-Forth_alpha", "B-Back_alpha"),
+    "beta": ("A-Forth_beta", "A-Back_beta"),
+}
+_REFERENCE_CLAUSES = {
+    "c": bisim._coop_clause,
+    "alpha": bisim._proactive_clause,
+    "beta": bisim._reactive_clause,
+}
+
+
+def _reference_atom_check(model, pairs):
+    sig = bisim._labels(model)
+    for s, t in pairs:
+        if sig[s] != sig[t]:
+            return bisim.BisimFailure((s, t), "AtomEq")
+    return None
+
+
+def reference_check_cl_bisim(model, relation):
+    pairs = bisim._check_relation(model, relation)
+    bad = _reference_atom_check(model, pairs)
+    if bad is not None:
+        return bisim.BisimVerdict(False, bad)
+    rel = bisim._relation(model, pairs)
+    inv = rel[::-1]
+    for s, t in pairs:
+        for c in coalitions(model.agents):
+            for tag, x, y, r in zip(("Forth", "Back"), (s, t), (t, s), (rel, inv)):
+                witness = bisim._cl_clause(model, r, x, y, c)
+                if witness is not None:
+                    return bisim.BisimVerdict(False, bisim.BisimFailure(
+                        (s, t), tag, coalition_a=c, witness=str(witness)))
+    return bisim.BisimVerdict(True)
+
+
+def reference_check_constr_bisim(model, relation, families=bisim.ALL_FAMILIES):
+    pairs = bisim._check_relation(model, relation)
+    bad = _reference_atom_check(model, pairs)
+    if bad is not None:
+        return bisim.BisimVerdict(False, bad)
+    rel = bisim._relation(model, pairs)
+    inv = rel[::-1]
+    coalition_pairs = bisim._coalition_pairs(model.agents, disjoint_only=False)
+    for family in families:
+        clause = _REFERENCE_CLAUSES[family]
+        tags = _REFERENCE_TAGS[family]
+        for s, t in pairs:
+            for a, b in coalition_pairs:
+                for tag, x, y, r in zip(tags, (s, t), (t, s), (rel, inv)):
+                    witness = clause(model, r, x, y, a, b)
+                    if witness is not None:
+                        return bisim.BisimVerdict(False, bisim.BisimFailure(
+                            (s, t), tag, coalition_a=a, coalition_b=b,
+                            witness=str(witness)))
+    return bisim.BisimVerdict(True)

@@ -13,6 +13,7 @@ from constr.semantics import extension_bits, holds
 from constr.textio import parse_model
 from constr.validity import GeneratorBounds, random_model
 
+import oracles
 from oracles import brute_holds, exhaustive_greatest
 
 
@@ -105,6 +106,50 @@ def test_malformed_relation_entry_is_named():
             with pytest.raises(InputError, match="is not a pair of states") as exc:
                 checker(m, [("s0", "s0"), bad])
             assert repr(bad) in str(exc.value)
+
+
+# fails the CL Back clause and the ConStR A-Back_c clause at (s0, s1)
+EX1_RELATION = frozenset({("s0", "s1"), ("s0", "s4"), ("s1", "s0"), ("s1", "s1"),
+                          ("s2", "s2"), ("s4", "s4")})
+
+
+def checker_subjects():
+    """(model, relation) pairs: the fixtures with their relations, ex1's
+    relation above, and seeded random, irregular and two-model-union
+    models with relations drawn inside atom classes, since relations
+    drawn at random mostly fail at AtomEq."""
+    subjects = [(fixture_model(name), fixture_relation(name)) for name in ("exA", "exB", "exC")]
+    subjects.append((fixture_model("ex1"), EX1_RELATION))
+    models = []
+    for i in range(5):
+        bounds = GeneratorBounds(1 + i % 3, 3 + i % 2, 1 + (i + 1) % 2, ("p",))
+        models.append(random_model(bounds, 4100 + i))
+        models.append(oracles.irregular_model(4200 + i, sizes=(2, 5)))
+        models.append(disjoint_union(random_model(bounds, 4300 + i),
+                                     random_model(bounds, 4400 + i), "l", "r"))
+    for i, m in enumerate(models):
+        rng = random.Random(4500 + i)
+        labels = bisim._labels(m)
+        inside = [(s, t) for s in m.states for t in m.states if labels[s] == labels[t]]
+        subjects.append((m, frozenset(p for p in inside if rng.random() < 0.5)))
+        subjects.append((m, bisim.greatest_cl_bisim(m) | {rng.choice(inside)}))
+    return subjects
+
+
+def test_checkers_match_reference_loops():
+    # one Forth/Back driver behind both checkers must report what the
+    # separate loops did: the same first failing clause, tag, coalitions
+    # and witness, for all condition families and for each alone
+    conditions = set()
+    for m, rel in checker_subjects():
+        verdicts = [(bisim.check_cl_bisim(m, rel), oracles.reference_check_cl_bisim(m, rel))]
+        for families in (bisim.ALL_FAMILIES, *((f,) for f in bisim.ALL_FAMILIES)):
+            verdicts.append((bisim.check_constr_bisim(m, rel, families),
+                             oracles.reference_check_constr_bisim(m, rel, families)))
+        for got, want in verdicts:
+            assert (got.to_json(), str(got)) == (want.to_json(), str(want)), (m.states, rel)
+            conditions.add(got.failure.condition if got.failure else "ok")
+    assert {"Back", "A-Back_c", "B-Back_alpha", "A-Back_beta", "ok"} <= conditions
 
 
 def test_greatest_on_single_state_model():
