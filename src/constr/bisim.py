@@ -320,8 +320,14 @@ def check_constr_bisim(model: GameModel, relation,
 
     The three condition families are checked in the given order; the
     verdict reports the first violated clause.  Restricting `families`
-    probes a single operator's conditions in isolation.
+    probes a single operator's conditions in isolation.  `families` is
+    read once, so any iterable of family names will do, but not a bare
+    string.
     """
+    if isinstance(families, str):
+        raise InputError(f"families must be a collection of family names, "
+                         f"not the string {families!r}")
+    families = tuple(families)
     unknown = set(families) - set(ALL_FAMILIES)
     if unknown:
         raise InputError(f"unknown condition families: {sorted(unknown)}")

@@ -9,12 +9,12 @@ the passing outcome.
 
 Scheme instances are evaluated set-level (operator applied to state
 sets) through the model's operator evaluator, whose kernel tables are
-shared by every scheme and by model checking.  Results are not cached:
-the union sweeps evaluate each coalition pair once, and a scheme skips
-the substitutions whose argument sets it already swept on the model.
-That keeps sweeping all schemes over tens of thousands of generated
-models cheap.  Reported counterexamples are re-verified through the
-formula engine.
+shared by every scheme and by model checking.  The evaluator caches no
+results; instead the schemes sweeping one model share its list of
+distinct instances and one answer per distinct operator call, for as
+long as that model is swept.  That keeps sweeping all schemes over tens
+of thousands of generated models cheap.  Reported counterexamples are
+re-verified through the formula engine.
 """
 
 from __future__ import annotations
@@ -150,22 +150,19 @@ def _single_sweep(body):
     return sweep
 
 
-def _operator_sets(O, cls, coalitions, P, Q) -> dict:
-    # every (a, b) once, in sweep order: the union loops revisit them
-    return {(a, b): O(cls, a, b, P, Q) for a in coalitions for b in coalitions}
-
-
 def _growing_sweep(cls, grow_first: bool):
     # monotone-union schemes: the base set must transfer to the union
     def sweep(O, coalitions, P, Q, full):
-        sets = _operator_sets(O, cls, coalitions, P, Q)
-        for (a, b), base in sets.items():
-            if not base:
-                continue
-            for c in coalitions:
-                bad = base & ~(sets[a | c, b] if grow_first else sets[a, b | c])
-                if bad:
-                    return (a, b, c), bad
+        for a in coalitions:
+            for b in coalitions:
+                base = O(cls, a, b, P, Q)
+                if not base:
+                    continue
+                for c in coalitions:
+                    union = O(cls, a | c, b, P, Q) if grow_first else O(cls, a, b | c, P, Q)
+                    bad = base & ~union
+                    if bad:
+                        return (a, b, c), bad
         return None
     return sweep
 
@@ -173,14 +170,15 @@ def _growing_sweep(cls, grow_first: bool):
 def _shrinking_sweep(cls):
     # anti-monotone schemes: the union's set must transfer to the base
     def sweep(O, coalitions, P, Q, full):
-        sets = _operator_sets(O, cls, coalitions, P, Q)
-        for (a, b), target in sets.items():
-            if target == full:
-                continue
-            for c in coalitions:
-                bad = sets[a | c, b] & ~target
-                if bad:
-                    return (a, b, c), bad
+        for a in coalitions:
+            for b in coalitions:
+                target = O(cls, a, b, P, Q)
+                if target == full:
+                    continue
+                for c in coalitions:
+                    bad = O(cls, a | c, b, P, Q) & ~target
+                    if bad:
+                        return (a, b, c), bad
         return None
     return sweep
 
@@ -278,8 +276,9 @@ def _mk_registry() -> dict[str, Scheme]:
     # condition premise reads backwards (phi' -> phi)
     def rule(tag, cls, flip_condition, description):
         def sweep(O, coalitions, P, P2, Q, Q2, full):
-            # an instance whose premises fail somewhere is vacuous
-            if (P2 & ~P if flip_condition else P & ~P2) or Q & ~Q2:
+            # an instance whose premises fail somewhere is vacuous, and
+            # one whose conclusion is its premise holds
+            if (P2 & ~P if flip_condition else P & ~P2) or Q & ~Q2 or (P, Q) == (P2, Q2):
                 return None
             for a in coalitions:
                 for b in coalitions:
@@ -356,30 +355,85 @@ def _coalition_desc(combo) -> str:
     return " ".join(f"{n}={{{','.join(sorted(c))}}}" for n, c in zip(names, combo))
 
 
-def _scheme_counterexample(scheme: Scheme, model: GameModel,
-                           substitutions) -> Counterexample | None:
-    """First violating (state, instantiation) of one scheme on one model.
+def _read_substitutions(by_kind: dict) -> tuple:
+    """Each kind's substitutions, read once, each paired with the
+    positions of its formulas among the distinct formulas of all kinds;
+    the distinct formulas come first."""
+    formulas: dict = {}
+    slots = {kind: [(sub, tuple([formulas.setdefault(f, len(formulas)) for f in sub]))
+                    for sub in subs]
+             for kind, subs in by_kind.items()}
+    return tuple(formulas), slots
 
-    Each substitution formula is evaluated once, and an instance whose
-    tuple of argument sets was already swept is skipped: it would sweep
-    identically, so the first violating instance in order is unchanged.
+
+class _ModelSweep:
+    """What every scheme sweeping one model shares, kept only while that
+    model is swept.
+
+    `O` is the model's operator evaluator behind a dict of its answers,
+    so each distinct call is evaluated once, however many schemes and
+    instances ask it.  On a model where every agent has an action at
+    every state, an answer over (a, b) is the evaluator's answer over
+    (a, b - a), so the two share one evaluation.  `instances(kind)`
+    lists the (substitution, argument-set tuple) pairs of that kind,
+    keeping a tuple only where it first appears: a later substitution
+    with the same sets would sweep identically, so every scheme's first
+    violating instance is unchanged.
     """
-    O = operator_evaluator(model)
-    subsets = coalitions(model.agents)
-    full = model.full_bits
-    ext: dict = {}
-    swept: set = set()
-    for sub in substitutions:
-        for f in sub:
-            if f not in ext:
-                ext[f] = extension_bits(model, f)
-        bits = tuple([ext[f] for f in sub])
-        if bits in swept:
-            continue
-        swept.add(bits)
-        hit = scheme.sweep(O, subsets, *bits, full)
+
+    def __init__(self, model: GameModel, substitutions: tuple):
+        formulas, self._slots = substitutions
+        self.model = model
+        self.subsets = coalitions(model.agents)
+        self.full = model.full_bits
+        self._ext = [extension_bits(model, f) for f in formulas]
+        self._instances: dict = {}
+        evaluate = operator_evaluator(model)
+        # where an agent has no action, Oalpha over b is not over b - a
+        idle = any(0 in shape for shape in model.shapes)
+        answers: dict = {}
+
+        def O(op, a, b, cond_bits, goal_bits):
+            key = (op, a, b, cond_bits, goal_bits)
+            try:
+                return answers[key]
+            except KeyError:
+                pass
+            if a & b and not idle:
+                disjoint = (op, a, b - a, cond_bits, goal_bits)
+                held = answers.get(disjoint)
+                if held is None:
+                    held = answers[disjoint] = evaluate(*disjoint)
+            else:
+                held = evaluate(*key)
+            answers[key] = held
+            return held
+
+        self.O = O
+
+    def instances(self, kind: str) -> list:
+        listed = self._instances.get(kind)
+        if listed is None:
+            ext = self._ext
+            seen: set = set()
+            listed = self._instances[kind] = []
+            for sub, positions in self._slots[kind]:
+                bits = tuple([ext[i] for i in positions])
+                if bits not in seen:
+                    seen.add(bits)
+                    listed.append((sub, bits))
+        return listed
+
+
+def _scheme_counterexample(scheme: Scheme, sweep: _ModelSweep) -> Counterexample | None:
+    """First violating (state, instantiation) of one scheme on the model
+    of `sweep`, whose instances and operator answers the schemes
+    sweeping that model share."""
+    for sub, bits in sweep.instances(scheme.kind):
+        hit = scheme.sweep(sweep.O, sweep.subsets, *bits, sweep.full)
         if hit is not None:
             combo, bad = hit
+            model = sweep.model
             state = model.states[(bad & -bad).bit_length() - 1]
             names = ("phi", "psi") if scheme.kind == "axiom" else ("phi", "phi'", "psi", "psi'")
             args = " ".join(f"{name}={f}" for name, f in zip(names, sub))
@@ -390,19 +444,23 @@ def _scheme_counterexample(scheme: Scheme, model: GameModel,
 
 def check_scheme(scheme: Scheme, models: Iterable[GameModel],
                  substitutions=None) -> SchemeVerdict:
-    """Sweep models for a violating instance of one scheme.
+    """Sweep models, one at a time, for a violating instance of one
+    scheme; the first model with one ends the sweep.
 
     The default instantiation follows the registry kind: the atom pair
-    (p, q) for axioms, all quadruples over {p, q} for rules.
+    (p, q) for axioms, all quadruples over {p, q} for rules.  Any
+    iterable of substitutions is read once, so every model sweeps all
+    of them.
     """
     if substitutions is None:
         substitutions = (axiom_substitutions() if scheme.kind == "axiom"
                          else rule_substitutions())
+    substitutions = _read_substitutions({scheme.kind: substitutions})
     tried = 0
     found = None
     for model in models:
         tried += 1
-        found = _scheme_counterexample(scheme, model, substitutions)
+        found = _scheme_counterexample(scheme, _ModelSweep(model, substitutions))
         if found is not None:
             break
     return SchemeVerdict(scheme.tag, tried, found)
@@ -537,13 +595,16 @@ def selected_schemes(config: SuiteConfig) -> list[Scheme]:
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     """Check every selected scheme against its model stream.
 
-    Valid schemes share one pass over the generated family (and the
-    model's operator evaluator); the expected-invalid schemes each hunt
-    the counterexample stream until their budget runs out.
+    Valid schemes share one pass over the generated family, taking its
+    models one at a time; on each model they share one `_ModelSweep`,
+    so an instance list or an operator answer is computed once per
+    model.  The expected-invalid schemes each hunt the counterexample
+    stream through `check_scheme` until their budget runs out.
     """
     config = config or SuiteConfig()
-    axiom_subs = axiom_substitutions(config.stress)
-    rule_subs = rule_substitutions(config.stress)
+    by_kind = {"axiom": axiom_substitutions(config.stress),
+               "rule": rule_substitutions(config.stress)}
+    substitutions = _read_substitutions(by_kind)
     selected = selected_schemes(config)
 
     valid = [s for s in selected if s.expected_valid]
@@ -552,11 +613,11 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     if valid:
         for model in valid_model_stream(config):
             tried += 1
+            sweep = _ModelSweep(model, substitutions)
             for scheme in valid:
                 if scheme.tag in found:
                     continue
-                subs = axiom_subs if scheme.kind == "axiom" else rule_subs
-                cx = _scheme_counterexample(scheme, model, subs)
+                cx = _scheme_counterexample(scheme, sweep)
                 if cx is not None:
                     found[scheme.tag] = cx
 
@@ -566,8 +627,8 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
             verdict = SchemeVerdict(scheme.tag, tried, found.get(scheme.tag))
             report.outcomes.append(SchemeOutcome(scheme.tag, True, verdict))
         else:
-            subs = axiom_subs if scheme.kind == "axiom" else rule_subs
-            verdict = check_scheme(scheme, invalid_search_stream(config), subs)
+            verdict = check_scheme(scheme, invalid_search_stream(config),
+                                   by_kind[scheme.kind])
             verified = (verify_counterexample(verdict.counterexample)
                         if verdict.found else None)
             report.outcomes.append(SchemeOutcome(scheme.tag, False, verdict, verified))

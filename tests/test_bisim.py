@@ -52,6 +52,20 @@ def test_constr_failures_on_union_fixtures():
         assert probe.failure.condition.endswith(family), name
 
 
+def test_families_are_read_once():
+    m = fixture_model("exA")
+    rel = fixture_relation("exA")
+    listed = bisim.check_constr_bisim(m, rel, families=["c"])
+    assert str(listed).startswith("fail: A-Forth_c")
+    assert bisim.check_constr_bisim(m, rel, families=(f for f in ["c"])) == listed
+
+
+def test_families_as_a_bare_string_rejected():
+    m = fixture_model("exA")
+    with pytest.raises(InputError, match="not the string 'alpha'"):
+        bisim.check_constr_bisim(m, fixture_relation("exA"), families="alpha")
+
+
 def test_failure_reports_are_reproducible():
     m = fixture_model("exA")
     rel = fixture_relation("exA")

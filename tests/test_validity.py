@@ -1,9 +1,13 @@
 """Model generators and the axiom-scheme machinery."""
 
+import collections
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from constr import validity
 from constr.corpus import embedded_falsifier
 from constr.formula import Obeta, implies, parse_formula
 from constr.model import InputError, validate_model
@@ -205,6 +209,30 @@ def test_stress_sweeps_report_the_first_instance_in_order():
     assert _refuted_by_oracle(verdict.counterexample)
 
 
+def test_each_model_is_freed_once_swept():
+    # the sweep state lives only while its model is swept, and holds no
+    # reference cycle, so reference counting alone frees each model
+    refs, live = [], []
+
+    def models():
+        for seed in range(20):
+            live.append(sum(ref() is not None for ref in refs))
+            model = random_model(GeneratorBounds(2, 1 + seed % 3, 2), seed)
+            refs.append(weakref.ref(model))
+            yield model
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert not check_scheme(SCHEMES["RuleOaMon"], models()).found
+        # the caller's loop still holds the model it swept last
+        assert live == [0] + [1] * 19
+        assert all(ref() is None for ref in refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_valid_schemes_on_sliced_family():
     models = list(itertools.islice(enumerate_models(GeneratorBounds(2, 2, 2)), 250))
     for tag in ("Oc3", "Oc6", "Ob4", "Oa5", "ConStR2", "RuleObMon"):
@@ -238,11 +266,56 @@ def test_include_exclude_selection():
 
 
 def test_stress_substitutions_on_small_family():
+    # expected values recorded before the schemes of a model shared one
+    # instance list and one dict of operator answers
     report = run_suite(SuiteConfig(
-        include=("Oc7", "Ob6", "OaStar"), stress=True,
+        include=("Oc7", "Ob6", "OaStar", "ObAntiMon"), stress=True,
         exhaustive=(GeneratorBounds(2, 1, 2), GeneratorBounds(2, 2, 1)),
-        random_models=40, budget=0))
+        random_models=40, budget=2))
+    clean = {"expected_valid": True, "passed": True, "models_tried": 108,
+             "counterexample": None}
+    assert report.to_json() == {"ok": True, "schemes": [
+        {"tag": "Oc7", **clean},
+        {"tag": "Ob6", **clean},
+        {"tag": "OaStar", **clean},
+        {"tag": "ObAntiMon", "expected_valid": False, "passed": True, "models_tried": 1,
+         "counterexample": {"state": "s0", "instance": "A={} B={b} C={c} phi=p psi=q"}},
+    ]}
+
+
+def test_substitutions_are_read_once():
+    subs = axiom_substitutions(True)
+    listed = check_scheme(SCHEMES["ObAntiMon"], _stream((2, 2, 2), 300, 300), subs)
+    generated = check_scheme(SCHEMES["ObAntiMon"], _stream((2, 2, 2), 300, 300),
+                             (sub for sub in subs))
+    assert listed.models_tried == 13
+    assert (generated.models_tried, generated.counterexample.state,
+            generated.counterexample.instance) == (
+        listed.models_tried, listed.counterexample.state, listed.counterexample.instance)
+
+
+@pytest.mark.parametrize("stress, seeds", [(False, range(60)), (True, range(6))])
+def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, seeds):
+    calls = collections.Counter()
+    models = []  # kept alive, so that no two models share an id
+    real = validity.operator_evaluator
+
+    def counting(model):
+        models.append(model)
+        O = real(model)
+
+        def counted(op, a, b, cond_bits, goal_bits):
+            calls[id(model), op, a, b, cond_bits, goal_bits] += 1
+            return O(op, a, b, cond_bits, goal_bits)
+
+        return counted
+
+    monkeypatch.setattr(validity, "operator_evaluator", counting)
+    report = run_suite(SuiteConfig(exhaustive=(), seeds=tuple(seeds), stress=stress,
+                                   include=EXPECTED_VALID_TAGS))
     assert report.ok
+    assert {len(m.states) for m in models} == {1, 2, 3}
+    assert calls and set(calls.values()) == {1}
 
 
 def test_suite_report_json_shape():
