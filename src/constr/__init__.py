@@ -37,7 +37,7 @@ from .formula import (
     render,
 )
 from .textio import parse_model, parse_relation, render_model, render_relation
-from .semantics import Extension, explain, extension, holds, holds_via_b_minus_a
+from .semantics import Extension, explain, extension, holds
 from .bisim import (
     BisimFailure,
     BisimVerdict,

@@ -2,19 +2,21 @@
 
 Extensions are computed bottom-up over the subformula DAG with
 memoization at the model level, and every strategic operator goes
-through the model's one operator evaluator.  It keeps one kernel table
-per (operator kind, acting coalition, responders): the distinct outcome
-signatures of the joint actions, with the states showing each, so one
-application is one pass over those signatures.  A table is built in one
-pass over each state's profiles, from the per-state cell outcomes that
-the model provides (model.py owns the profile and cell numbering).
+through the model's one operator evaluator.  Only the responders outside
+the acting coalition ever respond, so the evaluator keeps what it reads
+per (operator kind, acting coalition, responders outside it).  On a
+model of at most INDEX_CUTOFF_STATES states that is a kernel table: the
+distinct outcome signatures of the joint actions, with the states
+showing each, so one application is one pass over those signatures.  A
+table is built in one pass over each state's profiles, from the
+per-state cell outcomes that the model provides (model.py owns the
+profile and cell numbering).
 
 A table pays for its build only when it is called many times, so a
-model with more than INDEX_CUTOFF_STATES states keeps no tables: every
-application is answered from a successor-preimage index, built once per
-model.  Per availability shape and successor state, the index packs
-into one int the (profile, state) pairs leading there, so that the same
-quantifier nest runs bit-parallel over all states of a shape.
+larger model keeps one successor-preimage index instead.  Per
+availability shape and successor state, the index packs into one int
+the (profile, state) pairs leading there, so that the same quantifier
+nest runs bit-parallel over all states of a shape.
 State sets travel as bitmasks internally; the public API speaks
 frozensets of state names.
 """
@@ -27,7 +29,7 @@ from functools import reduce
 from math import prod
 from operator import and_, or_
 
-from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top, formula_agents
+from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top
 from .model import Coalition, GameModel, InputError, State, _cell_projection, per_model
 
 
@@ -211,6 +213,39 @@ def _index_answer(groups, proactive: bool, want_answered: bool, actors, responde
     return held
 
 
+def _table_answer(table, proactive: bool, want_answered: bool, full: int,
+                  cond_bits: int, goal_bits: int) -> int:
+    """One operator call answered by one pass over a kernel table.
+
+    Oalpha holds on the states of a column that secures the goal against
+    every condition-securing sigma_a; Oc on those of an answered
+    condition-securing sigma_a, Obeta on those without an unanswered one.
+    """
+    outside_cond = ~cond_bits
+    outside_goal = ~goal_bits
+    held = 0
+    if proactive:
+        for column, bits in table:
+            for out_a, out_ab in column:
+                if not out_a & outside_cond and out_ab & outside_goal:
+                    break
+            else:
+                held |= bits
+        return held
+    for (out_a, minimal), bits in table:
+        if out_a & outside_cond:
+            continue
+        for m in minimal:
+            if not m & outside_goal:
+                answered = True
+                break
+        else:
+            answered = False
+        if answered is want_answered:
+            held |= bits
+    return held if want_answered else full & ~held
+
+
 @per_model
 def operator_evaluator(model: GameModel):
     """The model's operator evaluator.
@@ -219,48 +254,26 @@ def operator_evaluator(model: GameModel):
     where the strategic operator `op` (one of the Oc / Oalpha / Obeta
     classes) holds, with `cond_bits` and `goal_bits` standing in for the
     extensions of its two arguments.  Model checking, the axiom sweeps
-    and distinguisher synthesis all share it.  What it keeps per model
-    depends on the model's size:
+    and distinguisher synthesis all share it.
 
-    - with at most INDEX_CUTOFF_STATES states, one kernel table per
-      (operator kind, a, b - a), the distinct outcome signatures of its
-      joint actions, built on first use, so that a call is one loop
-      over them;
-    - with more states, one successor-preimage index, built on first
-      use, from which every call is answered bit-parallel.
-
-    Oalpha is false where an agent of both a and b has no action, as the
-    literal clause over b is; only models that validate_model rejects
-    have such states.
+    Each operator merges a's choice with b's, a winning where the two
+    overlap, so only r = b - a responds.  A model with at most
+    INDEX_CUTOFF_STATES states answers a call from the kernel table of
+    (operator kind, a, r), built on first use; a larger one answers it
+    bit-parallel from its one successor-preimage index, also built on
+    first use.  Last, Oalpha is cleared where an agent of both a and b
+    has no action: b has no joint action there, though r may have one.
+    Only models that validate_model rejects have such states.
     """
     shapes = model.shapes
+    full = model.full_bits
+    agent_index = model.agent_index
+    idle = any(0 in shape for shape in shapes)
+    by_index = len(shapes) > INDEX_CUTOFF_STATES
     # the evaluator is kept with the model, so a strong reference would
     # make a cycle that only the cyclic garbage collector can free
     model_ref = weakref.ref(model)
-    if len(shapes) > INDEX_CUTOFF_STATES:
-        O = _index_evaluator(model_ref)
-    else:
-        O = _table_evaluator(model_ref, model.full_bits)
-    if not any(0 in shape for shape in shapes):
-        return O
-    # both evaluators read Oalpha over b - a, which has joint actions
-    # where b has none
-    agent_index = model.agent_index
-
-    def O_without_idle(op, a, b, cond_bits, goal_bits):
-        held = O(op, a, b, cond_bits, goal_bits)
-        if op is Oalpha and a & b:
-            both = [agent_index[ag] for ag in a & b]
-            for i, shape in enumerate(shapes):
-                if not all(shape[j] for j in both):
-                    held &= ~(1 << i)
-        return held
-
-    return O_without_idle
-
-
-def _index_evaluator(model_ref):
-    """Every call answered from the model's preimage index."""
+    tables: dict = {}
     index = None
 
     def O(op, a, b, cond_bits, goal_bits):
@@ -268,59 +281,24 @@ def _index_evaluator(model_ref):
         proactive = op is Oalpha
         if not proactive and op is not Oc and op is not Obeta:
             raise TypeError(f"not a strategic operator: {op!r}")
-        model = model_ref()
-        if index is None:
-            index = _preimage_index(model)
-        # only b - a responds, the acting coalition winning the overlap
-        return _index_answer(index, proactive, op is Oc, model._positions(a),
-                             model._positions(b - a), cond_bits, goal_bits)
-
-    return O
-
-
-def _table_evaluator(model_ref, full):
-    """Every call answered from a kernel table, built on first use."""
-    tables: dict = {}
-
-    def O(op, a, b, cond_bits, goal_bits):
-        proactive = op is Oalpha
-        if not proactive and op is not Oc and op is not Obeta:
-            raise TypeError(f"not a strategic operator: {op!r}")
-        key = (proactive, a, b)
-        table = tables.get(key)
-        if table is None:
-            # only b - a responds, the acting coalition winning the overlap
-            table = tables.get((proactive, a, b - a))
+        r = b - a
+        if by_index:
+            game = model_ref()
+            if index is None:
+                index = _preimage_index(game)
+            held = _index_answer(index, proactive, op is Oc, game._positions(a),
+                                 game._positions(r), cond_bits, goal_bits)
+        else:
+            table = tables.get((proactive, a, r))
             if table is None:
-                table = _kernel_table(model_ref(), proactive, a, b - a)
-                tables[proactive, a, b - a] = table
-            tables[key] = table
-        outside_cond = ~cond_bits
-        outside_goal = ~goal_bits
-        held = 0
-        if proactive:
-            for column, bits in table:
-                for out_a, out_ab in column:
-                    if not out_a & outside_cond and out_ab & outside_goal:
-                        break
-                else:
-                    held |= bits
-            return held
-        # Oc: states with an answered condition-securing sigma_a;
-        # Obeta: states without an unanswered one
-        want_answered = op is Oc
-        for (out_a, minimal), bits in table:
-            if out_a & outside_cond:
-                continue
-            for m in minimal:
-                if not m & outside_goal:
-                    answered = True
-                    break
-            else:
-                answered = False
-            if answered is want_answered:
-                held |= bits
-        return held if want_answered else full & ~held
+                table = tables[proactive, a, r] = _kernel_table(model_ref(), proactive, a, r)
+            held = _table_answer(table, proactive, op is Oc, full, cond_bits, goal_bits)
+        if proactive and idle and a & b:
+            both = [agent_index[ag] for ag in a & b]
+            for i, shape in enumerate(shapes):
+                if not all(shape[j] for j in both):
+                    held &= ~(1 << i)
+        return held
 
     return O
 
@@ -440,31 +418,6 @@ def holds(model: GameModel, state: State, f: Formula) -> bool:
     if state not in model.state_index:
         raise InputError(f"unknown state {state!r}")
     return bool(extension_bits(model, f) >> model.state_index[state] & 1)
-
-
-def holds_via_b_minus_a(model: GameModel, state: State, f: Strategic) -> bool:
-    """Evaluate a strategic operator quantifying the responder over b-minus-a.
-
-    On valid models, restating the clause over the responder coalition
-    stripped of the acting coalition is equivalent to the primary clause;
-    this implementation exists as an independent cross-check and is
-    exercised against `holds` in the tests.  Where an agent of both
-    coalitions has no action (a model validate_model rejects), Oalpha
-    differs: b has no joint action, so the clause is false, while b - a
-    may have one.
-    """
-    if not isinstance(f, Strategic):
-        raise InputError("holds_via_b_minus_a expects a strategic formula")
-    if state not in model.state_index:
-        raise InputError(f"unknown state {state!r}")
-    unknown = formula_agents(f) - set(model.agents)
-    if unknown:
-        raise InputError(
-            f"formula names agents {sorted(unknown)} not present in the model")
-    cond = extension_bits(model, f.phi)
-    goal = extension_bits(model, f.psi)
-    reduced = f.b - f.a
-    return strategic_holds_at(model, state, type(f), f.a, reduced, cond, goal)
 
 
 # -- witness extraction for the CLI --------------------------------------

@@ -8,9 +8,13 @@ brute_extension collects each joint assignment and outcome set once,
 keeping them in a dict its caller may share across formulas of one model.
 reference_parse_model and reference_validate_model read model text line
 by line and check the outcome map entry by entry, one branch per case.
-reference_check_cl_bisim and reference_check_constr_bisim are the one
-exception: they call the engine's bisimulation clauses and pin only the
-checkers' loops around them.
+Two kinds of referee are the exception.  reference_check_cl_bisim and
+reference_check_constr_bisim call the engine's bisimulation clauses and
+pin only the checkers' loops around them.  holds_via_b_minus_a reads the
+engine's extensions and one-state quantifier nest, and pins only the
+responder rule of the operator evaluator: on valid models, the clause
+over b, the acting coalition winning the overlap, is the clause over
+b - a.
 """
 
 import itertools
@@ -18,8 +22,9 @@ import random
 import re
 
 from constr import bisim
-from constr.formula import And, Atom, Not, Obeta, Oalpha, Oc, Top
-from constr.model import GameModel, ParseError, Violation, coalitions
+from constr.formula import And, Atom, Not, Obeta, Oalpha, Oc, Strategic, Top, formula_agents
+from constr.model import GameModel, InputError, ParseError, State, Violation, coalitions
+from constr.semantics import extension_bits, strategic_holds_at
 
 # static structure only (availability products); truth values are never
 # cached.  Models are pinned so id-based keys can never be recycled.
@@ -149,6 +154,31 @@ def brute_extension(model, f, memo=None):
                                                cond.__contains__, goal.__contains__, memo))
 
     return ext(f)
+
+
+def holds_via_b_minus_a(model: GameModel, state: State, f: Strategic) -> bool:
+    """Evaluate a strategic operator quantifying the responder over b-minus-a.
+
+    On valid models, restating the clause over the responder coalition
+    stripped of the acting coalition is equivalent to the primary clause;
+    this implementation exists as an independent cross-check and is
+    exercised against `holds` in the tests.  Where an agent of both
+    coalitions has no action (a model validate_model rejects), Oalpha
+    differs: b has no joint action, so the clause is false, while b - a
+    may have one.
+    """
+    if not isinstance(f, Strategic):
+        raise InputError("holds_via_b_minus_a expects a strategic formula")
+    if state not in model.state_index:
+        raise InputError(f"unknown state {state!r}")
+    unknown = formula_agents(f) - set(model.agents)
+    if unknown:
+        raise InputError(
+            f"formula names agents {sorted(unknown)} not present in the model")
+    cond = extension_bits(model, f.phi)
+    goal = extension_bits(model, f.psi)
+    reduced = f.b - f.a
+    return strategic_holds_at(model, state, type(f), f.a, reduced, cond, goal)
 
 
 def irregular_model(seed, agentless_state=False, sizes=(1, 4)):

@@ -1,6 +1,7 @@
 """Truth clauses: fixture verdicts, boolean algebra, definability identities,
 and agreement with the responder-minus-actor restatement."""
 
+import collections
 import itertools
 import random
 from dataclasses import replace
@@ -28,13 +29,18 @@ from constr.semantics import (
     extension,
     extension_bits,
     holds,
-    holds_via_b_minus_a,
     operator_evaluator,
 )
 from constr.textio import parse_model
 from constr.validity import GeneratorBounds, random_model
 
-from oracles import brute_extension, brute_holds, brute_operator_states, irregular_model
+from oracles import (
+    brute_extension,
+    brute_holds,
+    brute_operator_states,
+    holds_via_b_minus_a,
+    irregular_model,
+)
 
 p, q = Atom("p"), Atom("q")
 
@@ -377,6 +383,33 @@ def test_index_path_names_first_state_without_outcome():
                 O(op, frozenset("a"), frozenset("b"), m.full_bits, m.full_bits)
         with pytest.raises(InputError, match=r"^outcome map is not total at s3$"):
             holds(m, "s0", op(frozenset("b"), frozenset("ab"), TOP, p))
+
+
+def test_kernel_tables_and_index_are_shared(monkeypatch):
+    # one kernel table per (operator kind, a, b - a), Oc and Obeta sharing
+    # theirs; above the cutoff, one preimage index answers every call
+    built = collections.Counter()
+    for name in ("_kernel_table", "_preimage_index"):
+        def counting(*args, real=getattr(semantics, name), name=name):
+            built[name] += 1
+            return real(*args)
+        monkeypatch.setattr(semantics, name, counting)
+    a, b = frozenset("a"), frozenset("ab")
+    small = random_model(GeneratorBounds(2, 3, 2), 1)
+    O = operator_evaluator(small)
+    for op in (Oc, Obeta):
+        for responders in (b, b - a):
+            O(op, a, responders, small.full_bits, 1)
+    assert built == {"_kernel_table": 1}
+    for responders in (b, b - a):
+        O(Oalpha, a, responders, small.full_bits, 1)
+    assert built == {"_kernel_table": 2}
+    large = random_model(GeneratorBounds(2, INDEX_CUTOFF_STATES + 1, 2), 1)
+    O = operator_evaluator(large)
+    for op in (Oc, Oalpha, Obeta):
+        for responders in (b, b - a):
+            O(op, a, responders, large.full_bits, 1)
+    assert built == {"_kernel_table": 2, "_preimage_index": 1}
 
 
 def test_deeply_nested_negation_answers():

@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import inspect
 import itertools
 import weakref
 
@@ -10,7 +11,7 @@ import pytest
 from constr import validity
 from constr.corpus import embedded_falsifier
 from constr.formula import Obeta, implies, parse_formula
-from constr.model import InputError, validate_model
+from constr.model import InputError, coalitions, validate_model
 from constr.semantics import holds
 from constr.textio import render_model
 from constr.validity import (
@@ -30,7 +31,7 @@ from constr.validity import (
     verify_counterexample,
 )
 
-from oracles import brute_holds
+from oracles import brute_holds, irregular_model
 
 # frozen tag list; the registry must match it exactly or the suite is lying
 ALL_TAGS = (
@@ -183,6 +184,25 @@ def _forward_condition_sweep(O, coalitions, P, P2, Q, Q2, full):
             if bad:
                 return (a, b), bad
     return None
+
+
+def test_axiom_sweeps_on_models_with_an_idle_agent():
+    # an agent without actions somewhere breaks the sweep's reading of
+    # Oalpha over (a, b) as over (a, b - a); each sweep must still find a
+    # violating instance exactly where one exists.  Rules are model-global
+    # and left out.
+    p, q = parse_formula("p"), parse_formula("q")
+    for seed in range(100, 110):
+        m = irregular_model(seed, agentless_state=True)
+        subsets = coalitions(m.agents)
+        for tag, scheme in SCHEMES.items():
+            if scheme.kind != "axiom":
+                continue
+            arity = len(inspect.signature(scheme.build).parameters) - 2
+            want = any(not holds(m, state, scheme.build(*combo, p, q))
+                       for combo in itertools.product(subsets, repeat=arity)
+                       for state in m.states)
+            assert check_scheme(scheme, [m]).found == want, (seed, tag)
 
 
 def test_stress_sweeps_report_the_first_instance_in_order():
