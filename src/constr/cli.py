@@ -230,6 +230,12 @@ def validate(bounds_specs, random_models, seed, seeds, schemes, exclude,
             _fail_input(f"{config_path}: unknown config keys: {', '.join(unknown)}")
         if not isinstance(file_cfg.get("stress", False), bool):
             _fail_input(f"{config_path}: \"stress\" must be true or false")
+        # a string would be read one character at a time
+        for key in ("bounds", "seeds", "schemes", "exclude"):
+            if not isinstance(file_cfg.get(key, []), list):
+                _fail_input(f"{config_path}: \"{key}\" must be a list")
+        if not all(isinstance(b, list) for b in file_cfg.get("bounds", [])):
+            _fail_input(f"{config_path}: \"bounds\" must be a list of lists")
     try:
         if not bounds_specs and "bounds" in file_cfg:
             bounds_specs = [",".join(str(x) for x in b) for b in file_cfg["bounds"]]

@@ -4,8 +4,10 @@ Everything here deliberately avoids the package's evaluation machinery:
 no bitmasks and no engine tables.  Joint actions, outcome
 sets and the operator quantifier nests are spelled out directly over the
 model's raw fields.  brute_holds recomputes every outcome set it needs;
-brute_extension collects each joint assignment and outcome set once,
-keeping them in a dict its caller may share across formulas of one model.
+brute_extension collects the outcome sets of each (state, acting
+coalition, responders) once, keeping them in a dict its caller may share
+across formulas of one model, and may keep its own results in a second,
+per-model dict.
 reference_parse_model and reference_validate_model read model text line
 by line and check the outcome map entry by entry, one branch per case.
 Two kinds of referee are the exception.  reference_check_cl_bisim and
@@ -26,20 +28,16 @@ from constr.formula import And, Atom, Not, Obeta, Oalpha, Oc, Strategic, Top, fo
 from constr.model import GameModel, InputError, ParseError, State, Violation, coalitions
 from constr.semantics import extension_bits, strategic_holds_at
 
-# static structure only (availability products); truth values are never
-# cached.  Models are pinned so id-based keys can never be recycled.
+# every full profile, by the tuple of per-agent action pools it is the
+# product of; keyed by value, so that no model is kept alive
 _PROFILES = {}
-_PINNED = {}
 
 
 def profiles_at(model, state):
-    key = (id(model), state)
-    got = _PROFILES.get(key)
+    pools = tuple(model.avail.get((state, a), ()) for a in model.agents)
+    got = _PROFILES.get(pools)
     if got is None:
-        _PINNED[id(model)] = model
-        pools = [model.avail.get((state, a), ()) for a in model.agents]
-        got = list(itertools.product(*pools))
-        _PROFILES[key] = got
+        got = _PROFILES[pools] = list(itertools.product(*pools))
     return got
 
 
@@ -67,39 +65,37 @@ def brute_merge(first, second):
 
 def _brute_operator_at(model, state, op, a, b, in_cond, in_goal, memo=None):
     """The quantifier nest of one strategic operator at one state; the
-    condition and goal are tests on states.  With a `memo` dict, joint
-    assignments and outcome sets are looked up there first and kept."""
+    condition and goal are tests on states.  Each outcome set is
+    collected on first use, a winning where it overlaps b; with a `memo`
+    dict, those of (state, a, b) are looked up there first and kept."""
+    got = None if memo is None else memo.get((state, a, b))
+    if got is None:
+        got = (joint_assignments(model, state, a), joint_assignments(model, state, b), {})
+        if memo is not None:
+            memo[state, a, b] = got
+    a_choices, b_choices, outcomes = got
 
-    def remember(key, compute, *args):
-        if memo is None:
-            return compute(model, state, *args)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = compute(model, state, *args)
-        return got
+    def secures(i, j, test):
+        # j is None for a's assignment alone
+        out = outcomes.get((i, j))
+        if out is None:
+            assignment = a_choices[i] if j is None else brute_merge(a_choices[i], b_choices[j])
+            out = outcomes[i, j] = brute_outcome_set(model, state, assignment)
+        return all(map(test, out))
 
-    def secures(assignment, test):
-        outcomes = remember((state, "out", frozenset(assignment.items())),
-                            brute_outcome_set, assignment)
-        return all(test(u) for u in outcomes)
-
-    a_choices = remember((state, "joint", a), joint_assignments, a)
-    b_choices = remember((state, "joint", b), joint_assignments, b)
+    rows, columns = range(len(a_choices)), range(len(b_choices))
     if op is Oc:
         return any(
-            secures(sa, in_cond) and any(secures(brute_merge(sa, sb), in_goal)
-                                         for sb in b_choices)
-            for sa in a_choices)
+            secures(i, None, in_cond) and any(secures(i, j, in_goal) for j in columns)
+            for i in rows)
     if op is Oalpha:
         return any(
-            all(not secures(sa, in_cond) or secures(brute_merge(sa, sb), in_goal)
-                for sa in a_choices)
-            for sb in b_choices)
+            all(not secures(i, None, in_cond) or secures(i, j, in_goal) for i in rows)
+            for j in columns)
     if op is Obeta:
         return all(
-            not secures(sa, in_cond) or any(secures(brute_merge(sa, sb), in_goal)
-                                            for sb in b_choices)
-            for sa in a_choices)
+            not secures(i, None, in_cond) or any(secures(i, j, in_goal) for j in columns)
+            for i in rows)
     raise TypeError(f"not a strategic operator: {op!r}")
 
 
@@ -127,19 +123,33 @@ def brute_operator_states(model, op, a, b, cond_states, goal_states):
                               cond_states.__contains__, goal_states.__contains__))
 
 
-def brute_extension(model, f, memo=None):
+def brute_extension(model, f, memo=None, extensions=None):
     """The states where f holds, evaluated bottom-up over f's syntax tree.
 
-    Joint assignments and outcome sets are collected from the raw model
-    fields on first use and kept in `memo`; a caller evaluating many
-    formulas on one model may pass the same dict to every call.  It
-    holds that static structure only, never truth values.
+    Outcome sets are collected from the raw model fields on first use
+    and kept in `memo`; a caller evaluating many formulas on one model,
+    or on models that differ only in their valuation, may pass the same
+    dict to every call.  That dict holds static structure only.  A caller may also pass one `extensions` dict per
+    model, which keeps this function's own results: the states of every
+    subformula node it evaluates, keyed by the node's id() and holding
+    the node itself, so that an id is never reused while the entry
+    lives; and the states of every operator application, keyed by its
+    operator, coalitions and argument state sets.  Neither key reads the
+    package's formula equality or hashing.
     """
     if memo is None:
         memo = {}
     everything = frozenset(model.states)
 
     def ext(g):
+        if extensions is None:
+            return evaluate(g)
+        hit = extensions.get(id(g))
+        if hit is None:
+            hit = extensions[id(g)] = (g, evaluate(g))
+        return hit[1]
+
+    def evaluate(g):
         if isinstance(g, Atom):
             return frozenset(model.valuation.get(g.name, frozenset()))
         if isinstance(g, Top):
@@ -149,9 +159,15 @@ def brute_extension(model, f, memo=None):
         if isinstance(g, And):
             return ext(g.left) & ext(g.right)
         cond, goal = ext(g.phi), ext(g.psi)
-        return frozenset(s for s in model.states
-                         if _brute_operator_at(model, s, type(g), g.a, g.b,
-                                               cond.__contains__, goal.__contains__, memo))
+        applied = (type(g), g.a, g.b, cond, goal)
+        held = None if extensions is None else extensions.get(applied)
+        if held is None:
+            held = frozenset(s for s in model.states
+                             if _brute_operator_at(model, s, type(g), g.a, g.b,
+                                                   cond.__contains__, goal.__contains__, memo))
+            if extensions is not None:
+                extensions[applied] = held
+        return held
 
     return ext(f)
 

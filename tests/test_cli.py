@@ -192,6 +192,26 @@ def test_validate_bad_config_exits_2(runner, tmp_path, text):
     assert r.output.startswith("error: ") and isinstance(r.exception, SystemExit)
 
 
+@pytest.mark.parametrize("key, value", [("bounds", "2,1,1"), ("bounds", ["2,1,1"]),
+                                        ("seeds", "1,2"), ("schemes", "Oc1"),
+                                        ("exclude", "Oc1")])
+def test_validate_config_string_for_a_list_exits_2(runner, tmp_path, key, value):
+    # a string would otherwise be read one character at a time
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({key: value, "random": 0, "budget": 1}), encoding="utf-8")
+    r = runner.invoke(main, ["validate", "--config", str(cfg)])
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: ") and f'"{key}" must be a list' in r.output
+
+
+@pytest.mark.parametrize("spec", ["2,1,1,p+p", "2,1,1,", "2,1,1,p+"])
+def test_validate_repeated_or_empty_atom_names_exit_2(runner, spec):
+    r = runner.invoke(main, ["validate", "--bounds", spec, "--random", "0", "--budget", "1",
+                             "--schemes", "Oc5"])
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: atom names must be non-empty and distinct")
+
+
 @pytest.mark.parametrize("args", [["--budget", "-5", "--random", "1"],
                                   ["--random", "-1", "--budget", "0"]],
                          ids=["budget", "random"])

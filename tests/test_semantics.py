@@ -250,10 +250,15 @@ def test_brute_extension_agrees_with_brute_holds():
     models += [parse_model(fixture_text(f.model_file)) for f in FIXTURES]
     for m in models:
         memo: dict = {}
-        for _ in range(8):
-            f = random_formula(rng, ["p", "q"], m.agents, 2)
-            assert brute_extension(m, f, memo) == frozenset(
-                s for s in m.states if brute_holds(m, s, f)), (m.states, f)
+        extensions: dict = {}
+        formulas = [random_formula(rng, ["p", "q"], m.agents, 2) for _ in range(8)]
+        # a formula over earlier ones, so that the shared dict is read
+        formulas.append(Not(And(formulas[0], formulas[1])))
+        for f in formulas:
+            want = frozenset(s for s in m.states if brute_holds(m, s, f))
+            assert brute_extension(m, f, memo) == want, (m.states, f)
+            assert brute_extension(m, f, memo, extensions) == want, (m.states, f)
+        assert all(extensions[id(node)][0] is node for node in formulas)
 
 
 def test_operator_evaluator_agrees_with_brute_force():

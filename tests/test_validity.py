@@ -5,12 +5,13 @@ import gc
 import inspect
 import itertools
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from constr import validity
 from constr.corpus import embedded_falsifier
-from constr.formula import Obeta, implies, parse_formula
+from constr.formula import Oalpha, Obeta, Oc, implies, parse_formula
 from constr.model import InputError, coalitions, validate_model
 from constr.semantics import holds
 from constr.textio import render_model
@@ -88,6 +89,15 @@ def test_bounds_must_be_positive():
         GeneratorBounds(agents=0, states=1, actions=1)
     with pytest.raises(InputError):
         GeneratorBounds(agents=1, states=1, actions=0)
+
+
+def test_bounds_reject_repeated_and_empty_atom_names():
+    # a repeated name would sweep each labeling more than once, and an
+    # empty one is an atom no formula can name
+    for atoms in (("p", "p"), ("",), ("p", "")):
+        with pytest.raises(InputError):
+            GeneratorBounds(2, 1, 1, atoms)
+    assert model_count(GeneratorBounds(2, 1, 1, ())) == 1
 
 
 def test_enumeration_counts():
@@ -229,15 +239,27 @@ def test_stress_sweeps_report_the_first_instance_in_order():
     assert _refuted_by_oracle(verdict.counterexample)
 
 
-def test_each_model_is_freed_once_swept():
-    # the sweep state lives only while its model is swept, and holds no
-    # reference cycle, so reference counting alone frees each model
-    refs, live = [], []
+def _structure(model):
+    return model.agents, model.states, model.avail, model.outcome
+
+
+@pytest.mark.parametrize("family", ["random", "enumerated"])
+def test_each_model_is_freed_once_swept(family):
+    # a model's sweep state lives only while it is swept, but for the
+    # first model of a run with one transition structure, which the
+    # run's sweeps share; nothing holds a reference cycle, so reference
+    # counting alone frees each model
+    if family == "random":
+        source = (random_model(GeneratorBounds(2, 1 + seed % 3, 2), seed) for seed in range(20))
+    else:
+        source = enumerate_models(GeneratorBounds(2, 2, 1))
+    refs, alive, firsts = [], [], []
 
     def models():
-        for seed in range(20):
-            live.append(sum(ref() is not None for ref in refs))
-            model = random_model(GeneratorBounds(2, 1 + seed % 3, 2), seed)
+        for model in source:
+            alive.append({i for i, ref in enumerate(refs) if ref() is not None})
+            same = refs and _structure(refs[-1]()) == _structure(model)
+            firsts.append(firsts[-1] if same else len(refs))
             refs.append(weakref.ref(model))
             yield model
 
@@ -245,12 +267,74 @@ def test_each_model_is_freed_once_swept():
     gc.disable()
     try:
         assert not check_scheme(SCHEMES["RuleOaMon"], models()).found
-        # the caller's loop still holds the model it swept last
-        assert live == [0] + [1] * 19
+        # at each hand-over the caller's loop still holds the model it
+        # swept last, and its sweep the first model of that model's run
+        assert alive == [set()] + [{firsts[i], i} for i in range(len(refs) - 1)]
+        if family == "enumerated":
+            assert len(refs) == model_count(GeneratorBounds(2, 2, 1))
+            assert len(set(firsts)) == 4
         assert all(ref() is None for ref in refs)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _relabeled(model, k):
+    # the same transition structure, with p on the first k states and q
+    # on the rest
+    return replace(model, valuation={"p": frozenset(model.states[:k]),
+                                     "q": frozenset(model.states[k:])})
+
+
+def _mixed_stream():
+    # runs of one structure, idle agents, neighbours that differ only in
+    # their outcome map, and a structure that comes back after another one
+    models = []
+    for seed in range(10):
+        m = irregular_model(seed, agentless_state=seed % 2 == 0)
+        models += [m] + [_relabeled(m, k) for k in range(len(m.states) + 1)]
+        models += [random_model(GeneratorBounds(2, 2, 2), seed + k) for k in (0, 100)]
+    models += [_relabeled(models[0], 0), models[1]]
+    return models
+
+
+@pytest.mark.parametrize("stream", ["enumerated", "mixed"])
+def test_shared_sweeps_answer_as_fresh_ones(stream):
+    if stream == "enumerated":
+        models = list(itertools.islice(enumerate_models(GeneratorBounds(2, 2, 2)), 400))
+    else:
+        models = _mixed_stream()
+    substitutions = validity._read_substitutions({"axiom": axiom_substitutions(),
+                                                  "rule": rule_substitutions()})
+    first_hits = {}
+    sweep = None
+    shared = 0
+    for tried, m in enumerate(models, 1):
+        sweep = validity._ModelSweep(m, substitutions, sweep)
+        shared += sweep.first is not m
+        # a copy of the model has none of its evaluator state
+        fresh = validity._ModelSweep(replace(m), substitutions)
+        for tag, scheme in SCHEMES.items():
+            validity._scheme_counterexample(scheme, sweep)
+            if tag not in first_hits:
+                cx = validity._scheme_counterexample(scheme, fresh)
+                if cx is not None:
+                    first_hits[tag] = (tried, cx.state, cx.instance)
+        [(_, (P, Q))] = fresh.instances("axiom")
+        for op in (Oc, Oalpha, Obeta):
+            for a in fresh.subsets:
+                for b in fresh.subsets:
+                    for args in ((P, Q), (Q, P), (0, Q), (fresh.full, P), (P, 0)):
+                        assert sweep.O(op, a, b, *args) == fresh.O(op, a, b, *args), (
+                            tried, op, a, b, args)
+    # a sweep shares exactly where its model follows one of equal structure
+    assert shared == sum(_structure(m) == _structure(n) for m, n in zip(models, models[1:]))
+    assert shared > len(models) // 2
+    for tag, scheme in SCHEMES.items():
+        verdict = check_scheme(scheme, models)
+        cx = verdict.counterexample
+        got = (verdict.models_tried, cx.state, cx.instance) if cx else verdict.models_tried
+        assert got == first_hits.get(tag, len(models)), tag
 
 
 def test_valid_schemes_on_sliced_family():
@@ -314,11 +398,20 @@ def test_substitutions_are_read_once():
         listed.models_tried, listed.counterexample.state, listed.counterexample.instance)
 
 
-@pytest.mark.parametrize("stress, seeds", [(False, range(60)), (True, range(6))])
-def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, seeds):
+@pytest.mark.parametrize("stress, exhaustive, seeds", [
+    (False, (), range(60)),
+    (True, (), range(6)),
+    (False, (GeneratorBounds(2, 1, 2), GeneratorBounds(2, 2, 1)), range(6)),
+], ids=["random", "random-stress", "exhaustive"])
+def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, exhaustive,
+                                                          seeds):
+    # an evaluator is made for the first model of each run of models with
+    # one transition structure, and asked each distinct call once
     calls = collections.Counter()
     models = []  # kept alive, so that no two models share an id
+    swept = []
     real = validity.operator_evaluator
+    real_stream = validity.valid_model_stream
 
     def counting(model):
         models.append(model)
@@ -330,12 +423,24 @@ def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, s
 
         return counted
 
+    def recorded(config):
+        for model in real_stream(config):
+            swept.append(model)
+            yield model
+
     monkeypatch.setattr(validity, "operator_evaluator", counting)
-    report = run_suite(SuiteConfig(exhaustive=(), seeds=tuple(seeds), stress=stress,
+    monkeypatch.setattr(validity, "valid_model_stream", recorded)
+    report = run_suite(SuiteConfig(exhaustive=exhaustive, seeds=tuple(seeds), stress=stress,
                                    include=EXPECTED_VALID_TAGS))
     assert report.ok
+    runs = [m for i, m in enumerate(swept)
+            if i == 0 or _structure(swept[i - 1]) != _structure(m)]
+    assert len(models) == len(runs) and all(m is r for m, r in zip(models, runs))
     assert {len(m.states) for m in models} == {1, 2, 3}
     assert calls and set(calls.values()) == {1}
+    if exhaustive:
+        # one outcome map for (2, 1, 2), four for (2, 2, 1)
+        assert len(runs) == 1 + 4 + len(seeds) < len(swept)
 
 
 def test_suite_report_json_shape():
