@@ -241,13 +241,19 @@ def validate(bounds_specs, random_models, seed, seeds, schemes, exclude,
             bounds_specs = [",".join(str(x) for x in b) for b in file_cfg["bounds"]]
         exhaustive = (tuple(_parse_bounds_spec(s) for s in bounds_specs)
                       if bounds_specs else validity.DEFAULT_EXHAUSTIVE)
+        env_seed = os.environ.get("CONSTR_SEED")
+        if seed is None and env_seed is not None:
+            try:
+                seed = int(env_seed)
+            except ValueError:
+                raise InputError(f"CONSTR_SEED must be an integer, not {env_seed!r}") from None
         if seed is None:
-            seed = int(os.environ.get("CONSTR_SEED", file_cfg.get("seed", 0)))
+            seed = file_cfg.get("seed", 0)
         seed_list = None
         if seeds is not None:
             seed_list = tuple(int(x) for x in seeds.split(","))
         elif "seeds" in file_cfg:
-            seed_list = tuple(int(x) for x in file_cfg["seeds"])
+            seed_list = tuple(file_cfg["seeds"])
         include = None
         if schemes is not None:
             include = tuple(schemes.split(","))
@@ -257,9 +263,9 @@ def validate(bounds_specs, random_models, seed, seeds, schemes, exclude,
         if not excluded and "exclude" in file_cfg:
             excluded = tuple(file_cfg["exclude"])
         if random_models is None:
-            random_models = int(file_cfg.get("random", 2000))
+            random_models = file_cfg.get("random", 2000)
         if budget is None:
-            budget = int(file_cfg.get("budget", 2000))
+            budget = file_cfg.get("budget", 2000)
         config = validity.SuiteConfig(
             exhaustive=exhaustive,
             random_models=random_models,
@@ -270,9 +276,6 @@ def validate(bounds_specs, random_models, seed, seeds, schemes, exclude,
             budget=budget,
             stress=stress or file_cfg.get("stress", False),
         )
-    except TypeError as exc:
-        # flags arrive typed, so only a config file value can be mistyped
-        _fail_input(f"{config_path}: mistyped value: {exc}")
     except ValueError as exc:
         _fail_input(str(exc))
     try:

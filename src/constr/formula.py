@@ -17,7 +17,7 @@ box).  The strategic operators are self-delimiting:
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .model import Coalition, ParseError
 
@@ -164,19 +164,6 @@ def cond_diamond(coalition: Iterable[str], phi: Formula, psi: Formula) -> Formul
 
 
 # -- traversal helpers ---------------------------------------------------
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Postorder walk; children before parents, duplicates possible."""
-    if isinstance(f, Not):
-        yield from subformulas(f.sub)
-    elif isinstance(f, And):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, Strategic):
-        yield from subformulas(f.phi)
-        yield from subformulas(f.psi)
-    yield f
 
 
 def formula_agents(f: Formula) -> frozenset:

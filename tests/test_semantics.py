@@ -16,6 +16,7 @@ from constr.formula import (
     Obeta,
     Oalpha,
     Oc,
+    Strategic,
     TOP,
     box,
     parse_formula,
@@ -188,9 +189,22 @@ def test_proactive_implies_reactive_globally():
                 assert alpha <= beta
 
 
-def _strategic_subformulas(f):
-    from constr.formula import subformulas, Strategic
-    return [g for g in subformulas(f) if isinstance(g, Strategic)]
+def _first_strategic(f):
+    # the first strategic subformula in postorder (children before
+    # parents), or None
+    if isinstance(f, Not):
+        children = (f.sub,)
+    elif isinstance(f, And):
+        children = (f.left, f.right)
+    elif isinstance(f, Strategic):
+        children = (f.phi, f.psi)
+    else:
+        children = ()
+    for child in children:
+        found = _first_strategic(child)
+        if found is not None:
+            return found
+    return f if isinstance(f, Strategic) else None
 
 
 def test_b_minus_a_restatement_agrees_on_corpus():
@@ -218,7 +232,7 @@ def test_b_minus_a_randomized_equivalence():
         m = random_model(GeneratorBounds(agents=2 + checked % 2, states=2 + checked % 3,
                                          actions=2), 5000 + checked)
         f = random_formula(rng, ["p", "q"], m.agents, 2)
-        target = next(iter(_strategic_subformulas(f)), None)
+        target = _first_strategic(f)
         if target is None:
             f = Oc(frozenset(m.agents[:1]), frozenset(m.agents[1:]), f, q)
             target = f
@@ -339,6 +353,35 @@ def test_operator_evaluator_on_irregular_availability():
                         got = O(op, a, b, cond_bits, goal_bits)
                         assert got == m.bits_of(want), \
                             (m.states, m.avail, op.token, a, b, cond, goal)
+
+
+def test_overlapping_call_after_its_disjoint_one():
+    # an evaluator shares one answer between (a, b) and (a, b - a), except
+    # where an agent has no action somewhere: there Oalpha over (a, b) is
+    # false where an agent of both lacks an action, whatever (a, b - a)
+    # says, so an answer kept for the disjoint call must not be reused
+    models = [irregular_model(seed, agentless_state=True) for seed in range(100, 124)]
+    models += [parse_model(fixture_text(f.model_file)) for f in FIXTURES]
+    rng = random.Random(31)
+    told_apart = 0
+    for m in models:
+        O = operator_evaluator(m)
+        sets = [(bits, m.states_of(bits)) for bits in range(1 << len(m.states))]
+        coalitions = _all_coalitions(m.agents)
+        for op in (Oc, Oalpha, Obeta):
+            for a in coalitions:
+                for b in coalitions:
+                    if not a & b:
+                        continue
+                    (cond_bits, cond), (goal_bits, goal) = rng.choice(sets), rng.choice(sets)
+                    disjoint = O(op, a, b - a, cond_bits, goal_bits)
+                    got = O(op, a, b, cond_bits, goal_bits)
+                    copy = replace(m)  # the evaluator holds its model weakly
+                    fresh = operator_evaluator(copy)(op, a, b, cond_bits, goal_bits)
+                    want = m.bits_of(brute_operator_states(m, op, a, b, cond, goal))
+                    assert got == fresh == want, (m.states, m.avail, op.token, a, b, cond, goal)
+                    told_apart += got != disjoint
+    assert told_apart
 
 
 def test_index_path_agrees_with_kernel_and_brute_force(monkeypatch):

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from constr import validity
+from constr import semantics, validity
 from constr.corpus import embedded_falsifier
 from constr.formula import Oalpha, Obeta, Oc, implies, parse_formula
 from constr.model import InputError, coalitions, validate_model
@@ -406,29 +406,31 @@ def test_substitutions_are_read_once():
 def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, exhaustive,
                                                           seeds):
     # an evaluator is made for the first model of each run of models with
-    # one transition structure, and asked each distinct call once
-    calls = collections.Counter()
-    models = []  # kept alive, so that no two models share an id
+    # one transition structure, and evaluates each distinct (operator,
+    # a, b - a, condition, goal) once, from the kernel table of (operator
+    # kind, a, b - a)
+    evaluations = collections.Counter()
+    models = []  # kept alive with their tables, so that no two tables share an id
     swept = []
     real = validity.operator_evaluator
+    real_answer = semantics._table_answer
     real_stream = validity.valid_model_stream
 
-    def counting(model):
+    def made(model):
         models.append(model)
-        O = real(model)
+        return real(model)
 
-        def counted(op, a, b, cond_bits, goal_bits):
-            calls[id(model), op, a, b, cond_bits, goal_bits] += 1
-            return O(op, a, b, cond_bits, goal_bits)
-
-        return counted
+    def counted(table, proactive, want_answered, full, cond_bits, goal_bits):
+        evaluations[id(table), proactive, want_answered, cond_bits, goal_bits] += 1
+        return real_answer(table, proactive, want_answered, full, cond_bits, goal_bits)
 
     def recorded(config):
         for model in real_stream(config):
             swept.append(model)
             yield model
 
-    monkeypatch.setattr(validity, "operator_evaluator", counting)
+    monkeypatch.setattr(validity, "operator_evaluator", made)
+    monkeypatch.setattr(semantics, "_table_answer", counted)
     monkeypatch.setattr(validity, "valid_model_stream", recorded)
     report = run_suite(SuiteConfig(exhaustive=exhaustive, seeds=tuple(seeds), stress=stress,
                                    include=EXPECTED_VALID_TAGS))
@@ -437,10 +439,33 @@ def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, e
             if i == 0 or _structure(swept[i - 1]) != _structure(m)]
     assert len(models) == len(runs) and all(m is r for m, r in zip(models, runs))
     assert {len(m.states) for m in models} == {1, 2, 3}
-    assert calls and set(calls.values()) == {1}
+    assert evaluations and set(evaluations.values()) == {1}
     if exhaustive:
         # one outcome map for (2, 1, 2), four for (2, 2, 1)
         assert len(runs) == 1 + 4 + len(seeds) < len(swept)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("random_models", 1.5), ("random_models", True), ("seed", 1.9), ("seed", "1"),
+    ("seed", None), ("budget", True), ("budget", 2.0), ("seeds", (1.5,)),
+    ("seeds", (1, False)),
+])
+def test_suite_config_rejects_non_integer_counts(field, value):
+    # a float would be truncated or fail deep inside the run, and a bool
+    # would be read as 0 or 1
+    with pytest.raises(InputError, match=rf"^{field} must be an integer, not "):
+        SuiteConfig(**{field: value})
+
+
+def test_exhaustive_bounds_label_only_atoms_the_instances_read():
+    # every labeling of an atom no instance reads sweeps the same instances
+    for atoms in (("1", "x"), ("p", "r"), ("q", "p", "s")):
+        with pytest.raises(InputError, match=r"^no scheme instance reads the atoms \["):
+            SuiteConfig(exhaustive=(GeneratorBounds(2, 1, 1, atoms),))
+    # fewer atoms are fine: q is then false everywhere
+    report = run_suite(SuiteConfig(exhaustive=(GeneratorBounds(2, 1, 1, ("p",)),),
+                                   include=("Oc5",), random_models=0, budget=0))
+    assert report.ok and report.outcomes[0].verdict.models_tried == 2
 
 
 def test_suite_report_json_shape():
