@@ -92,10 +92,10 @@ def _kernel_table(model: GameModel, proactive: bool, a: Coalition, r: Coalition)
 # Measured on random models with 2-4 agents (2-core VM, Python 3.11.7;
 # CHANGES.md has the data), that bound is 2-4 calls at 3-5 states, 12-15
 # at 20 and 36-100 at 100; the axiom sweeps, on models of 1-3 states,
-# call each table about 7.5 times (a default run_suite: 306,977 calls,
-# 40,731 tables), since they evaluate each distinct call once per run of
-# models with one transition structure, and one-shot requests call each
-# key about once.
+# call each table about 11 times (a default run_suite: 188,040 calls,
+# 16,719 tables), since they evaluate each distinct call once per run of
+# models with one transition structure and sweep a repeated model only
+# once, and one-shot requests call each key about once.
 INDEX_CUTOFF_STATES = 20
 
 
@@ -269,11 +269,15 @@ def operator_evaluator(model: GameModel):
     bit-parallel from its one successor-preimage index, also built on
     first use.  A call over an overlapping (a, b) shares its answer with
     the call over (a, r); without that, a default run_suite would make
-    528,070 evaluations instead of 306,977.  The exception is a model
+    325,318 evaluations instead of 188,040.  The exception is a model
     where an agent has no action somewhere: there Oalpha is cleared
     where an agent of both a and b has no action, since b has no joint
     action there though r may have one, so (a, b) is answered on its
     own.  Only models that validate_model rejects have such states.
+
+    The evaluator holds its model weakly, so that keeping it with the
+    model makes no reference cycle; a call that needs a table or the
+    index after the model is freed raises InputError.
     """
     shapes = model.shapes
     full = model.full_bits
@@ -287,6 +291,13 @@ def operator_evaluator(model: GameModel):
     answers: dict = {}
     index = None
 
+    def live_model() -> GameModel:
+        game = model_ref()
+        if game is None:
+            raise InputError("the model of this operator evaluator has been freed; "
+                             "keep a reference to the model while calling it")
+        return game
+
     def evaluate(key):
         nonlocal index
         op, a, b, cond_bits, goal_bits = key
@@ -298,7 +309,7 @@ def operator_evaluator(model: GameModel):
         held = answers.get(shared)
         if held is None:
             if by_index:
-                game = model_ref()
+                game = live_model()
                 if index is None:
                     index = _preimage_index(game)
                 held = _index_answer(index, proactive, op is Oc, game._positions(a),
@@ -306,7 +317,7 @@ def operator_evaluator(model: GameModel):
             else:
                 table = tables.get((proactive, a, r))
                 if table is None:
-                    table = tables[proactive, a, r] = _kernel_table(model_ref(), proactive, a, r)
+                    table = tables[proactive, a, r] = _kernel_table(live_model(), proactive, a, r)
                 held = _table_answer(table, proactive, op is Oc, full, cond_bits, goal_bits)
             if proactive and idle and a & b:
                 both = [agent_index[ag] for ag in a & b]

@@ -2,8 +2,10 @@
 and agreement with the responder-minus-actor restatement."""
 
 import collections
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -382,6 +384,32 @@ def test_overlapping_call_after_its_disjoint_one():
                     assert got == fresh == want, (m.states, m.avail, op.token, a, b, cond, goal)
                     told_apart += got != disjoint
     assert told_apart
+
+
+@pytest.mark.parametrize("build", [
+    lambda: replace(fixture_model("ex1")),
+    lambda: random_model(GeneratorBounds(2, INDEX_CUTOFF_STATES + 5, 2), 3),
+], ids=["kernel", "index"])
+def test_evaluator_of_a_freed_model_raises_input_error(build):
+    # the evaluator holds its model weakly, so that no reference cycle
+    # forms; once the model is gone, a call it has no answer for cannot
+    # be evaluated
+    gc.collect()
+    gc.disable()
+    try:
+        m = build()
+        O = operator_evaluator(m)
+        a, b, full = frozenset({"a"}), frozenset({"b"}), m.full_bits
+        kept = O(Oc, a, b, full, full)
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+        assert O(Oc, a, b, full, full) == kept
+        with pytest.raises(InputError, match="has been freed"):
+            O(Oalpha, a, b, full, full)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_index_path_agrees_with_kernel_and_brute_force(monkeypatch):

@@ -13,9 +13,10 @@ from constr import semantics, validity
 from constr.corpus import embedded_falsifier
 from constr.formula import Oalpha, Obeta, Oc, implies, parse_formula
 from constr.model import InputError, coalitions, validate_model
-from constr.semantics import holds
+from constr.semantics import extension_bits, holds
 from constr.textio import render_model
 from constr.validity import (
+    DEFAULT_EXHAUSTIVE,
     EXPECTED_INVALID_TAGS,
     EXPECTED_VALID_TAGS,
     SCHEMES,
@@ -98,6 +99,24 @@ def test_bounds_reject_repeated_and_empty_atom_names():
         with pytest.raises(InputError):
             GeneratorBounds(2, 1, 1, atoms)
     assert model_count(GeneratorBounds(2, 1, 1, ())) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.5, 1, 1), "agents must be an integer, not 1.5"),
+    (("2", 1, 1), "agents must be an integer, not '2'"),
+    ((True, 1, 1), "agents must be an integer, not True"),
+    ((2, 1.0, 1), "states must be an integer, not 1.0"),
+    ((2, 1, None), "actions must be an integer, not None"),
+    ((2, 1, 1, ["p"]), "atoms must be a tuple of strings, not ['p']"),
+    ((2, 1, 1, "pq"), "atoms must be a tuple of strings, not 'pq'"),
+    ((2, 1, 1, ("p", 1)), "atoms must be a tuple of strings, not ('p', 1)"),
+])
+def test_bounds_reject_non_integer_counts_and_non_string_atoms(args, message):
+    # a bool would be read as one agent, a float or a string would fail
+    # with a bare TypeError, and a list of atoms only when enumerated
+    with pytest.raises(InputError) as exc:
+        GeneratorBounds(*args)
+    assert str(exc.value) == message
 
 
 def test_enumeration_counts():
@@ -243,24 +262,39 @@ def _structure(model):
     return model.agents, model.states, model.avail, model.outcome
 
 
+def _sweep_inputs(model, formulas):
+    # what a sweep reads of a model, spelled out as plain tuples
+    return (model.agents, model.shapes, tuple(model.successor_row(s) for s in model.states),
+            tuple(extension_bits(model, f) for f in formulas))
+
+
 @pytest.mark.parametrize("family", ["random", "enumerated"])
 def test_each_model_is_freed_once_swept(family):
     # a model's sweep state lives only while it is swept, but for the
     # first model of a run with one transition structure, which the
-    # run's sweeps share; nothing holds a reference cycle, so reference
-    # counting alone frees each model
+    # run's sweeps share; a repeat of a model swept before is read and
+    # dropped; nothing holds a reference cycle, so reference counting
+    # alone frees each model
     if family == "random":
         source = (random_model(GeneratorBounds(2, 1 + seed % 3, 2), seed) for seed in range(20))
     else:
         source = enumerate_models(GeneratorBounds(2, 2, 1))
-    refs, alive, firsts = [], [], []
+    formulas = (parse_formula("p"), parse_formula("q"))
+    refs, alive, held, inputs = [], [], [], set()
+    last = first = None  # the last swept model and the first of its run
 
     def models():
-        for model in source:
-            alive.append({i for i, ref in enumerate(refs) if ref() is not None})
-            same = refs and _structure(refs[-1]()) == _structure(model)
-            firsts.append(firsts[-1] if same else len(refs))
+        nonlocal last, first
+        for i, model in enumerate(source):
+            alive.append({j for j, ref in enumerate(refs) if ref() is not None})
             refs.append(weakref.ref(model))
+            key = _sweep_inputs(model, formulas)
+            if key not in inputs:
+                inputs.add(key)
+                if last is None or _structure(refs[last]()) != _structure(model):
+                    first = i
+                last = i
+            held.append({first, last})
             yield model
 
     gc.collect()
@@ -268,11 +302,14 @@ def test_each_model_is_freed_once_swept(family):
     try:
         assert not check_scheme(SCHEMES["RuleOaMon"], models()).found
         # at each hand-over the caller's loop still holds the model it
-        # swept last, and its sweep the first model of that model's run
-        assert alive == [set()] + [{firsts[i], i} for i in range(len(refs) - 1)]
-        if family == "enumerated":
-            assert len(refs) == model_count(GeneratorBounds(2, 2, 1))
-            assert len(set(firsts)) == 4
+        # read last, and its sweep the model it swept last and the first
+        # model of that model's run
+        assert alive == [set()] + [{i} | held[i] for i in range(len(refs) - 1)]
+        if family == "random":
+            assert len(inputs) < len(refs)
+        else:
+            assert len(inputs) == len(refs) == model_count(GeneratorBounds(2, 2, 1))
+            assert len({min(h) for h in held}) == 4
         assert all(ref() is None for ref in refs)
         assert gc.collect() == 0
     finally:
@@ -405,13 +442,14 @@ def test_substitutions_are_read_once():
 ], ids=["random", "random-stress", "exhaustive"])
 def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, exhaustive,
                                                           seeds):
-    # an evaluator is made for the first model of each run of models with
-    # one transition structure, and evaluates each distinct (operator,
-    # a, b - a, condition, goal) once, from the kernel table of (operator
-    # kind, a, b - a)
+    # a model is swept unless one with the same sweep inputs was swept
+    # before it; an evaluator is made for the first model of each run of
+    # swept models with one transition structure, and evaluates each
+    # distinct (operator, a, b - a, condition, goal) once, from the
+    # kernel table of (operator kind, a, b - a)
     evaluations = collections.Counter()
     models = []  # kept alive with their tables, so that no two tables share an id
-    swept = []
+    streamed = []
     real = validity.operator_evaluator
     real_answer = semantics._table_answer
     real_stream = validity.valid_model_stream
@@ -426,7 +464,7 @@ def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, e
 
     def recorded(config):
         for model in real_stream(config):
-            swept.append(model)
+            streamed.append(model)
             yield model
 
     monkeypatch.setattr(validity, "operator_evaluator", made)
@@ -435,14 +473,107 @@ def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, e
     report = run_suite(SuiteConfig(exhaustive=exhaustive, seeds=tuple(seeds), stress=stress,
                                    include=EXPECTED_VALID_TAGS))
     assert report.ok
+    formulas = tuple(dict.fromkeys(f for sub in [*axiom_substitutions(stress),
+                                                 *rule_substitutions(stress)] for f in sub))
+    inputs = {}
+    for m in streamed:
+        inputs.setdefault(_sweep_inputs(m, formulas), m)
+    swept = list(inputs.values())
     runs = [m for i, m in enumerate(swept)
             if i == 0 or _structure(swept[i - 1]) != _structure(m)]
     assert len(models) == len(runs) and all(m is r for m, r in zip(models, runs))
     assert {len(m.states) for m in models} == {1, 2, 3}
     assert evaluations and set(evaluations.values()) == {1}
+    assert report.outcomes[0].verdict.models_tried == len(streamed)
     if exhaustive:
-        # one outcome map for (2, 1, 2), four for (2, 2, 1)
-        assert len(runs) == 1 + 4 + len(seeds) < len(swept)
+        # one outcome map for (2, 1, 2), four for (2, 2, 1); the one-state
+        # random models repeat models of (2, 1, 2)
+        assert len(runs) == 1 + 4 + len(seeds) - 2 < len(swept) < len(streamed)
+
+
+def _count_sweeps(monkeypatch) -> list:
+    made = []
+
+    class Counted(validity._ModelSweep):
+        def __init__(self, model, *args):
+            made.append(len(model.states))
+            super().__init__(model, *args)
+
+    monkeypatch.setattr(validity, "_ModelSweep", Counted)
+    return made
+
+
+def test_default_suite_sweeps_each_distinct_model_once(monkeypatch):
+    # the 667 one-state and 667 two-state random models repeat models of
+    # the (2, 1, 2) and (2, 2, 2) families; they are counted, not swept
+    made = _count_sweeps(monkeypatch)
+    report = run_suite()
+    assert report.ok
+    tried = {o.tag: o.verdict.models_tried for o in report.outcomes}
+    assert tried == {**{tag: 6168 for tag in EXPECTED_VALID_TAGS}, "ObAntiMon": 1}
+    # the valid pass, then ObAntiMon's sweep of the embedded falsifier
+    assert len(made) == 4834 + 1
+    family = sum(model_count(bounds) for bounds in DEFAULT_EXHAUSTIVE)
+    assert made[family:-1] == [3] * 666
+
+
+def test_repeated_seeds_report_as_distinct_ones(monkeypatch):
+    made = _count_sweeps(monkeypatch)
+    family = (GeneratorBounds(2, 1, 2),)
+    repeated = run_suite(SuiteConfig(exhaustive=family, seeds=(5,) * 9, budget=1))
+    # the family's 4 models, the two- and three-state draws of seed 5 (its
+    # one-state draw is in the family), and the embedded falsifier
+    assert len(made) == 4 + 2 + 1
+    distinct = run_suite(SuiteConfig(exhaustive=family, seeds=tuple(range(5, 14)), budget=1))
+    assert repeated.to_json() == distinct.to_json()
+    assert repeated.outcomes[0].verdict.models_tried == 4 + 9
+
+
+def _anti_monotone_cooperation_sweep(O, coalitions, P, Q, full):
+    # cooperation read as anti-monotone in the acting coalition: not a
+    # valid scheme, so the sweep reports instances
+    for a in coalitions:
+        for b in coalitions:
+            for c in coalitions:
+                bad = O(Oc, a | c, b, P, Q) & ~O(Oc, a, b, P, Q)
+                if bad:
+                    return (a, b, c), bad
+    return None
+
+
+def _renamed_actions(model):
+    # the same sweep inputs under other action names
+    avail = {key: tuple("x" + act for act in acts) for key, acts in model.avail.items()}
+    outcome = {(s, tuple("x" + act for act in profile)): t
+               for (s, profile), t in model.outcome.items()}
+    return replace(model, avail=avail, outcome=outcome)
+
+
+def test_repeats_before_the_first_violation_leave_the_verdict_unchanged(monkeypatch):
+    scheme = Scheme("OcAntiMon", "axiom", False, "cooperation read as anti-monotone in "
+                    "the acting coalition", _anti_monotone_cooperation_sweep,
+                    lambda A, B, C, p, q: implies(Oc(A | C, B, p, q), Oc(A, B, p, q)))
+    draws = _stream((2, 2, 2), 0, 4)  # only the first violates the scheme
+    head = list(enumerate_models(GeneratorBounds(2, 1, 2))) + draws[1:]
+    repeats = [head[5], replace(head[4]), _renamed_actions(head[6]), head[0],
+               _relabeled(head[1], 1), head[4]]
+    models = head + repeats + [draws[0], draws[0]]
+
+    substitutions = validity._read_substitutions({"axiom": axiom_substitutions()})
+    unskipped = None
+    for tried, m in enumerate(models, 1):
+        cx = validity._scheme_counterexample(scheme, validity._ModelSweep(m, substitutions))
+        if cx is not None:
+            unskipped = (tried, cx.state, cx.instance)
+            break
+    assert unskipped[0] == len(head) + len(repeats) + 1
+
+    made = _count_sweeps(monkeypatch)
+    verdict = check_scheme(scheme, models)
+    cx = verdict.counterexample
+    assert (verdict.models_tried, cx.state, cx.instance) == unskipped
+    assert len(made) == len(head) + 1
+    assert _refuted_by_oracle(cx)
 
 
 @pytest.mark.parametrize("field, value", [
