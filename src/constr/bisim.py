@@ -39,7 +39,9 @@ from typing import Callable, NamedTuple
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, or_
 from .model import (Coalition, GameModel, InputError, JointAction, State, coalitions,
                     per_model)
-from .semantics import extension_bits, holds, strategic_states_bits
+from .semantics import extension_bits, strategic_states_bits
+# perfbench/tracing.py wraps this binding; nothing here calls it
+from .semantics import holds  # noqa: F401
 
 Relation = frozenset
 
@@ -445,6 +447,12 @@ def _constr_refinement(model: GameModel):
 
 
 @per_model
+def _final_block_of(model: GameModel) -> dict[State, int]:
+    """Each state's index among the final blocks of the ConStR refinement."""
+    return {s: i for i, block in enumerate(_constr_refinement(model)[0]) for s in block}
+
+
+@per_model
 def greatest_cl_bisim(model: GameModel) -> Relation:
     """Largest coalition-logic bisimulation in the model."""
     return _equivalence(_cl_refinement(model)[0])
@@ -501,42 +509,55 @@ def _synthesis_table(model: GameModel):
     with its formulas against the sibling groups.  States one round
     keeps together satisfy the same operator formulas over unions of
     that round's classes, so each formula holds on whole groups.  The
-    result maps every state to its final block's index, and each ordered
-    pair of final blocks to the formula of their lowest common split.
+    result maps each ordered pair of final blocks (by _final_block_of
+    index) to the formula of their lowest common split and its extension
+    bits.  The model checker computes those bits once per split formula,
+    whose complement gives its negation's, and once per distinct atom
+    literal.
     """
-    final, constr_log = _constr_refinement(model)
-    block_of = {s: i for i, block in enumerate(final) for s in block}
+    block_of = _final_block_of(model)
     idx = model.state_index
+    full = model.full_bits
     pool = _literal_pool(model)
     labels = _labels(model)
     class_of = dict.fromkeys(model.states, TOP)
-    table: dict[tuple[int, int], Formula] = {}
+    table: dict[tuple[int, int], tuple[Formula, int]] = {}
 
     def enter(block, groups, between):
         """Enter the split of `block` into `groups`, where between[i][j]
-        is true on group i and false on group j."""
+        is a formula true on group i and false on group j, with its
+        extension bits."""
         leaves = [dict.fromkeys(block_of[s] for s in g) for g in groups]
         for i, row in enumerate(between):
-            for j, f in row.items():
+            for j, entry in row.items():
                 for x in leaves[i]:
                     for y in leaves[j]:
-                        table[x, y] = f
+                        table[x, y] = entry
         formulas = []
         for row in between:
             f = class_of[block[0]]
-            for g in dict.fromkeys(row.values()):
+            for g in dict.fromkeys(g for g, _ in row.values()):
                 f = g if f is TOP else And(f, g)
             formulas.append(f)
         for g, f in zip(groups, formulas):
             for s in g:
                 class_of[s] = f
 
+    literal_bits: dict[Formula, int] = {}
+
+    def literal(s, t):
+        f = _atom_literal(labels, s, t)
+        bits = literal_bits.get(f)
+        if bits is None:
+            bits = literal_bits[f] = extension_bits(model, f)
+        return f, bits
+
     atom_classes = _classes(model.states, labels.__getitem__)
     enter(model.states, atom_classes,
-          [{j: _atom_literal(labels, gi[0], gj[0]) for j, gj in enumerate(atom_classes) if j != i}
+          [{j: literal(gi[0], gj[0]) for j, gj in enumerate(atom_classes) if j != i}
            for i, gi in enumerate(atom_classes)])
 
-    for partition, splits in _cl_refinement(model)[1] + constr_log:
+    for partition, splits in _cl_refinement(model)[1] + _constr_refinement(model)[1]:
         classes = [(model.bits_of(b), class_of[b[0]]) for b in partition]
         known = dict(pool)
 
@@ -557,7 +578,8 @@ def _synthesis_table(model: GameModel):
             return f
 
         def separate(reason, x, y):
-            """A formula over this round's classes, true at x, false at y."""
+            """A formula over this round's classes, true at x, false at y,
+            with its extension bits."""
             op = _KINDS[reason.kind].operator
             a, b = reason.a, reason.b
             ix, iy = idx[x], idx[y]
@@ -585,31 +607,34 @@ def _synthesis_table(model: GameModel):
             bits = extension_bits(model, f)
             if not differ(bits):
                 raise SynthesisError(f"split formula fails to separate ({x}, {y})")
-            return f if bits >> ix & 1 else Not(f)
+            return (f, bits) if bits >> ix & 1 else (Not(f), full ^ bits)
 
         for block, groups in splits:
             between = [{} for _ in groups]
             for j, (members, reasons) in enumerate(groups):
                 for i, reason in enumerate(reasons):
-                    f = separate(reason, groups[i][0][0], members[0])
-                    between[i][j] = f
-                    between[j][i] = Not(f)
+                    f, bits = separate(reason, groups[i][0][0], members[0])
+                    between[i][j] = f, bits
+                    between[j][i] = Not(f), full ^ bits
             enter(block, [members for members, _ in groups], between)
 
-    return block_of, table
+    return table
 
 
 def distinguishing_formula(model: GameModel, s: State, t: State) -> Formula | None:
     """A formula true at s and false at t, or None when the states are
-    bisimulation equivalent.  Every returned formula is re-verified
-    through the model checker before being handed out."""
+    bisimulation equivalent.  Every returned formula is re-verified at s
+    and t against the extension bits the model checker gave it in the
+    synthesis table before being handed out; an equivalent pair is
+    answered from the final blocks alone, before any synthesis."""
+    idx = model.state_index
     for x in (s, t):
-        if x not in model.state_index:
+        if x not in idx:
             raise InputError(f"unknown state {x!r}")
-    if (s, t) in greatest_constr_bisim(model):
+    block_of = _final_block_of(model)
+    if block_of[s] == block_of[t]:
         return None
-    block_of, table = _synthesis_table(model)
-    f = table[block_of[s], block_of[t]]
-    if not holds(model, s, f) or holds(model, t, f):
+    f, bits = _synthesis_table(model)[block_of[s], block_of[t]]
+    if not bits >> idx[s] & 1 or bits >> idx[t] & 1:
         raise SynthesisError(f"synthesized formula fails to distinguish ({s}, {t})")
     return f

@@ -8,12 +8,15 @@ Model format (UTF-8, `#` starts a comment):
     actions s0 a: a1 a2       # one line per state and agent
     go s0 (a1,b1) -> s1       # one line per full profile, in agent order
 
-A go line that starts `go ` and splits into the five tokens
-render_model writes, `go S (a1,b1,...) -> T`, is read by a first
-branch: one split, and a profile tuple shared by every line with the
-same `(...)` token.  Every other line, and every such line that branch
-would reject, goes through the general branch, which gives each error
-message and line number.
+The lines render_model writes are read by a first branch once both
+`agents:` and `states:` are declared: a go line that starts `go ` and
+splits into the five tokens `go S (a1,b1,...) -> T`, and a `labels S: ...`
+or `actions S A: ...` line that starts with its keyword and holds no `#`.
+Each is one split or partition, and the tuple of a go line's `(...)`
+token or of an actions line's text after the `:` is shared by every
+line with the same text.  Every other line, and every such line that
+branch would reject, goes through the general branch, which gives each
+error message and line number.
 
 Relation format: one `s ~ t` pair per line.
 """
@@ -53,12 +56,21 @@ def parse_model(text: str) -> GameModel:
     rejected; totality of the outcome map is left to validate_model so
     that partial files can still be loaded and diagnosed.
 
-    A go line that starts `go ` and splits into the five tokens
-    `go S (a1,b1,...) -> T` is stored by a first branch that takes its
-    profile tuple from a per-parse dict keyed by the `(...)` token, so
-    each distinct profile is checked once and shared.  Any other line,
-    and any such line that branch would reject, goes through the
-    general branch, which gives every error message and line number.
+    Once `agents:` and `states:` are both read, a first branch stores
+    each line of the three kinds render_model writes that names only
+    declared states and agents and repeats no earlier key:
+    - a go line that starts `go ` and splits into the five tokens
+      `go S (a1,b1,...) -> T`, its profile tuple taken from a per-parse
+      dict keyed by the `(...)` token;
+    - a `labels S: ...` line that starts `labels ` and holds no `#`;
+    - an `actions S A: ...` line that starts `actions `, holds no `#`
+      and repeats no action, its action tuple taken from a per-parse
+      dict keyed by the text after the `:`.
+    So each distinct profile or action list is checked once and shared.
+    Any other line, and any such line that branch would reject, goes
+    through the general branch, which gives every error message and
+    line number; the stored model and the order of `avail` and of the
+    valuation are the ones the general branch alone would give.
     """
     agents: tuple[str, ...] | None = None
     states: tuple[str, ...] | None = None
@@ -67,8 +79,11 @@ def parse_model(text: str) -> GameModel:
     avail: dict[tuple[str, str], tuple[str, ...]] = {}
     outcome: dict[tuple[str, tuple[str, ...]], str] = {}
     labels: dict[str, tuple[str, ...]] = {}
-    # declared state name -> itself, so stored keys share its string
+    # declared name -> itself, so stored keys share its string
     state_of: dict[str, str] = {}
+    agent_of: dict[str, str] = {}
+    # text after an actions line's `:` -> its tuple, when no action repeats
+    acts_of: dict[str, tuple[str, ...]] = {}
     # `(...)` token -> its profile tuple, once agents are declared
     profile_of: dict[str, tuple[str, ...]] = {}
 
@@ -87,6 +102,28 @@ def parse_model(text: str) -> GameModel:
                         and (state, profile) not in outcome):
                     outcome[(state, profile)] = target
                     continue
+        elif raw.startswith("actions ") and "#" not in raw:
+            head, sep, rest = raw.partition(":")
+            acts = acts_of.get(rest)
+            if acts is None:
+                acts = tuple(rest.split())
+                if len(set(acts)) == len(acts):
+                    acts_of[rest] = acts
+                else:
+                    acts = None
+            parts = head.split()
+            if sep and acts is not None and len(parts) == 3:
+                state = state_of.get(parts[1])
+                agent = agent_of.get(parts[2])
+                if state is not None and agent is not None and (state, agent) not in avail:
+                    avail[(state, agent)] = acts
+                    continue
+        elif raw.startswith("labels ") and "#" not in raw and agents is not None:
+            head, sep, rest = raw.partition(":")
+            state = state_of.get(head[len("labels "):])
+            if sep and state is not None and state not in labels:
+                labels[state] = tuple(rest.split())
+                continue
 
         line = raw.partition("#")[0].strip()
         if not line:
@@ -99,6 +136,7 @@ def parse_model(text: str) -> GameModel:
             if not agents:
                 _fail(lineno, "agents line declares no agents")
             agent_set = frozenset(agents)
+            agent_of = {a: a for a in agents}
             if len(agent_set) != len(agents):
                 _fail(lineno, "repeated agent name")
             continue

@@ -25,7 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, iff, implies
 from .model import GameModel, InputError, State, coalitions
@@ -567,6 +567,15 @@ class SuiteConfig:
     stress: bool = False
 
     def __post_init__(self):
+        # a string would be read one letter at a time, and an iterator
+        # would be spent by these checks before the sweep reads it
+        fields = [("exhaustive", self.exhaustive), ("include", self.include),
+                  ("exclude", self.exclude), ("seeds", self.seeds)]
+        for name, value in fields:
+            if value is None and name in ("include", "seeds"):
+                continue
+            if isinstance(value, str) or not isinstance(value, Collection):
+                raise InputError(f"{name} must be a tuple, not {value!r}")
         counts = [("random_models", self.random_models), ("seed", self.seed),
                   ("budget", self.budget), *(("seeds", s) for s in self.seeds or ())]
         for name, value in counts:
@@ -575,6 +584,8 @@ class SuiteConfig:
                 raise InputError(f"{name} must be an integer, not {value!r}")
         if self.random_models < 0 or self.budget < 0:
             raise InputError("the random model count and the budget must be at least 0")
+        if not all(isinstance(bounds, GeneratorBounds) for bounds in self.exhaustive):
+            raise InputError(f"exhaustive must hold GeneratorBounds, not {self.exhaustive!r}")
         if not all(isinstance(tag, str) for tag in (*(self.include or ()), *self.exclude)):
             raise InputError("scheme tags must be strings")
         # the substitutions, stressed or not, read only the stress pool's

@@ -496,6 +496,46 @@ def test_distinguishing_formula_unknown_state():
         bisim.distinguishing_formula(fixture_model("ex1"), "s0", "zz")
 
 
+def test_distinguishers_take_one_model_checker_call_per_table_formula(monkeypatch):
+    # each table formula keeps the extension bits synthesis computed for
+    # it, so answering all 132 unrelated pairs re-runs no model check
+    from constr import semantics
+    m = chain_model(12)
+    calls = []
+
+    def counted(model, f):
+        calls.append(f)
+        return extension_bits(model, f)
+
+    answers = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(semantics, "extension_bits", counted)
+        patch.setattr(bisim, "extension_bits", counted)
+        for s in m.states:
+            for t in m.states:
+                answers[s, t] = bisim.distinguishing_formula(m, s, t)
+    # each of the 12 states is a block of its own, so the answers hold
+    # every table formula
+    distinct = set(answers.values()) - {None}
+    assert 0 < len(calls) <= len(distinct)
+    for (s, t), f in answers.items():
+        assert (f is None) == (s == t)
+        if f is not None:
+            assert holds(m, s, f) and not holds(m, t, f)
+
+
+def test_related_pair_is_answered_before_synthesis(monkeypatch):
+    def no_synthesis(model):
+        raise AssertionError("synthesis ran for a related pair")
+
+    monkeypatch.setattr(bisim, "_synthesis_table", no_synthesis)
+    m = fixture_model("exA")
+    related = bisim.greatest_constr_bisim(m)
+    assert any(s != t for s, t in related)
+    for s, t in related:
+        assert bisim.distinguishing_formula(m, s, t) is None
+
+
 IRREGULAR = """
 agents: a b
 states: s0 s1 s2

@@ -40,10 +40,15 @@ def test_comments_and_blanks_ignored():
         "# header\n"
         "agents: a\n"
         "\n"
-        "states: s0  # trailing comment\n"
+        "states: s0 s1  # trailing comment\n"
+        "labels s1: p # comment\n"
         "actions s0 a: a1\n"
+        "actions s1 a: a1 a2 # comment\n"
         "go s0 (a1) -> s0\n")
-    assert m.states == ("s0",)
+    assert m.states == ("s0", "s1")
+    # canonical lines but for a trailing comment are read without it
+    assert m.valuation == {"p": frozenset({"s1"})}
+    assert m.avail == {("s0", "a"): ("a1",), ("s1", "a"): ("a1", "a2")}
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -73,6 +78,10 @@ BASE = "agents: a b\nstates: s0 s1\nactions s0 a: a1\nactions s0 b: b1\n"
     ("states: s0 s1 s0\n", "line 1: repeated state name"),
     ("agents: a\nlabels s0: p\nstates: s0\n",
      "line 2: agents: and states: must be declared first"),
+    ("states: s0\nlabels s0: p\nagents: a\n",
+     "line 2: agents: and states: must be declared first"),
+    ("states: s0\nactions s0 a: a1\nagents: a\n",
+     "line 2: agents: and states: must be declared first"),
     (BASE + "go s0 a1,b1 -> s1\n", "line 5: expected 'go STATE (a1,b1,...) -> STATE'"),
     (BASE + "go s9 (a1,b1) -> s1\n", "line 5: unknown state 's9'"),
     (BASE + "go s0 (a1,b1) -> s9\n", "line 5: unknown state 's9'"),
@@ -85,6 +94,7 @@ BASE = "agents: a b\nstates: s0 s1\nactions s0 a: a1\nactions s0 b: b1\n"
     (BASE + "labels s9: p\n", "line 5: unknown state 's9'"),
     (BASE + "labels s1: p\nlabels s1: q\n", "line 6: duplicate labels line for s1"),
     (BASE + "actions s1 a a1\n", "line 5: actions line needs a ':'"),
+    (BASE + "actions s1 a:\nactions s1 b\n", "line 6: actions line needs a ':'"),
     (BASE + "actions s1: a1\n", "line 5: expected 'actions STATE AGENT: ...'"),
     (BASE + "actions s9 a: a1\n", "line 5: unknown state 's9'"),
     (BASE + "actions s1 z: z1\n", "line 5: unknown agent 'z'"),

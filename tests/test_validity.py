@@ -4,6 +4,7 @@ import collections
 import gc
 import inspect
 import itertools
+import re
 import weakref
 from dataclasses import replace
 
@@ -585,6 +586,23 @@ def test_suite_config_rejects_non_integer_counts(field, value):
     # a float would be truncated or fail deep inside the run, and a bool
     # would be read as 0 or 1
     with pytest.raises(InputError, match=rf"^{field} must be an integer, not "):
+        SuiteConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("exhaustive", [(2, 1, 1)], "exhaustive must hold GeneratorBounds, not "),
+    ("exhaustive", GeneratorBounds(2, 1, 1), "exhaustive must be a tuple, not "),
+    ("include", "Oc5", "include must be a tuple, not 'Oc5'"),
+    ("exclude", "Oc5", "exclude must be a tuple, not 'Oc5'"),
+    ("seeds", iter([1, 2]), "seeds must be a tuple, not "),
+    ("seeds", 5, "seeds must be a tuple, not 5"),
+], ids=["exhaustive-of-tuples", "exhaustive-one-bounds", "include-string", "exclude-string",
+        "seeds-iterator", "seeds-int"])
+def test_suite_config_rejects_malformed_collections(field, value, message):
+    # these gave a bare AttributeError, a bare TypeError, tags read one
+    # letter at a time, seeds spent by the checks, so no random model was
+    # swept, and a bare TypeError
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}"):
         SuiteConfig(**{field: value})
 
 
