@@ -189,27 +189,50 @@ def _coalition_text(c: Coalition) -> str:
     return "{" + ",".join(sorted(c)) + "}"
 
 
+class _Text(str):
+    """Punctuation that `render` queues between subformulas, told apart
+    from a string standing where a subformula should be."""
+
+
+_CLOSE, _AND, _AND_OPEN, _COMMA = (_Text(t) for t in (")", " & ", " & (", ", "))
+
+
 def render(f: Formula) -> str:
-    """Canonical concrete syntax; `parse_formula(render(f))` equals `f`."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Not):
-        sub = render(f.sub)
-        if isinstance(f.sub, And):
-            return f"~({sub})"
-        return f"~{sub}"
-    if isinstance(f, And):
-        left = render(f.left)
-        right = render(f.right)
-        if isinstance(f.right, And):
-            right = f"({right})"
-        return f"{left} & {right}"
-    if isinstance(f, Strategic):
-        return (f"{f.token}[{_coalition_text(f.a)},{_coalition_text(f.b)}]"
-                f"({render(f.phi)}, {render(f.psi)})")
-    raise TypeError(f"not a formula: {f!r}")
+    """Canonical concrete syntax; `parse_formula(render(f))` equals `f`
+    wherever the parser's nesting limit allows.
+
+    Iterative, so that no depth of nesting exhausts the call stack: each
+    node writes its opening text and queues its subformulas and the
+    punctuation between and after them, last first.
+    """
+    out: list[str] = []
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is _Text:
+            out.append(g)
+        elif isinstance(g, Atom):
+            out.append(g.name)
+        elif isinstance(g, Not):
+            if isinstance(g.sub, And):
+                out.append("~(")
+                todo += (_CLOSE, g.sub)
+            else:
+                out.append("~")
+                todo.append(g.sub)
+        elif isinstance(g, And):
+            if isinstance(g.right, And):
+                todo += (_CLOSE, g.right, _AND_OPEN, g.left)
+            else:
+                todo += (g.right, _AND, g.left)
+        elif isinstance(g, Strategic):
+            out.append(f"{g.token}[{_coalition_text(g.a)},{_coalition_text(g.b)}](")
+            todo += (_CLOSE, g.psi, _COMMA, g.phi)
+        elif isinstance(g, Top):
+            out.append("true")
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 # -- parser --------------------------------------------------------------

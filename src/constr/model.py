@@ -365,6 +365,14 @@ def coalitions(agents: tuple[Agent, ...]) -> tuple[Coalition, ...]:
                  for combo in itertools.combinations(agents, r))
 
 
+@lru_cache(maxsize=None)
+def one_agent_supersets(subsets: tuple[Coalition, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each coalition of `subsets`, the positions in `subsets` of the
+    coalitions that have exactly one agent more and contain it."""
+    return tuple(tuple(j for j, d in enumerate(subsets) if len(d) == len(c) + 1 and c < d)
+                 for c in subsets)
+
+
 def joint_actions(model: GameModel, coalition: Coalition, state: State) -> set[JointAction]:
     """All joint actions of a coalition at a state.
 

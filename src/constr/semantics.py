@@ -92,7 +92,7 @@ def _kernel_table(model: GameModel, proactive: bool, a: Coalition, r: Coalition)
 # Measured on random models with 2-4 agents (2-core VM, Python 3.11.7;
 # CHANGES.md has the data), that bound is 2-4 calls at 3-5 states, 12-15
 # at 20 and 36-100 at 100; the axiom sweeps, on models of 1-3 states,
-# call each table about 11 times (a default run_suite: 188,040 calls,
+# call each table about 11 times (a default run_suite: 185,880 calls,
 # 16,719 tables), since they evaluate each distinct call once per run of
 # models with one transition structure and sweep a repeated model only
 # once, and one-shot requests call each key about once.
@@ -269,7 +269,7 @@ def operator_evaluator(model: GameModel):
     bit-parallel from its one successor-preimage index, also built on
     first use.  A call over an overlapping (a, b) shares its answer with
     the call over (a, r); without that, a default run_suite would make
-    325,318 evaluations instead of 188,040.  The exception is a model
+    322,670 evaluations instead of 185,880.  The exception is a model
     where an agent has no action somewhere: there Oalpha is cleared
     where an agent of both a and b has no action, since b has no joint
     action there though r may have one, so (a, b) is answered on its

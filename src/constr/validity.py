@@ -14,9 +14,12 @@ schemes sweeping one model share its list of distinct instances, the
 models of one run with the same transition structure share one
 evaluator, so each distinct operator call is evaluated once per run,
 and a model whose sweep inputs repeat those of a model swept before it
-in the same call is counted but not swept again.  That keeps sweeping
-all schemes over tens of thousands of generated models cheap.  Reported
-counterexamples are re-verified through the formula engine.
+in the same call is counted but not swept again.  Within such a run an
+instance that passed a scheme is not swept again, and the coalition
+monotonicity schemes compare each answer only with the answers one
+agent larger.  That keeps sweeping all schemes over tens of thousands
+of generated models cheap.  Reported counterexamples are re-verified
+through the formula engine.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, Collection, Iterable, Iterator
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, iff, implies
-from .model import GameModel, InputError, State, coalitions
+from .model import GameModel, InputError, State, coalitions, one_agent_supersets
 from .semantics import extension_bits, holds, operator_evaluator
 # perfbench/tracing.py wraps this binding; nothing here calls it
 from .semantics import strategic_holds_at  # noqa: F401
@@ -132,9 +135,12 @@ class Scheme:
     """One axiom scheme or inference rule.
 
     `sweep` hunts one model for a violating instantiation and returns
-    (coalition combo, violating-states bitmask) or None; `build`
-    materializes the instance (for rules: the conclusion implication) as
-    a checkable formula.
+    (coalition combo, violating-states bitmask) or None; it reads
+    nothing but the operator evaluator, the coalitions, the instance's
+    argument sets and the full state set, so an instance it passed
+    passes again on any model of the same transition structure.
+    `build` materializes the instance (for rules: the conclusion
+    implication) as a checkable formula.
     """
 
     tag: str
@@ -167,35 +173,43 @@ def _single_sweep(body):
     return sweep
 
 
-def _growing_sweep(cls, grow_first: bool):
-    # monotone-union schemes: the base set must transfer to the union
-    def sweep(O, coalitions, P, Q, full):
+def _monotone_sweep(cls, grow_first: bool, anti: bool = False):
+    """Coalition monotonicity of one operator: the answer at (A, B) must
+    hold at (A | C, B), or at (A, B | C) when not `grow_first`; with
+    `anti`, the answer at the union must hold at (A, B).
+
+    Inclusion along growing coalitions is transitive, so some triple
+    fails exactly when some one-agent step (C one agent outside the grown
+    coalition) fails, and the check compares each answer only with the
+    answers one agent larger.  Only then does the triple loop run, to
+    report the first failing (A, B, C) in canonical order, which may be
+    wider than the step that tripped it.  `coalitions` must be the full
+    canonical powerset that `model.coalitions(agents)` gives.
+    """
+    def first_triple(O, coalitions, P, Q):
         for a in coalitions:
             for b in coalitions:
                 base = O(cls, a, b, P, Q)
-                if not base:
-                    continue
                 for c in coalitions:
                     union = O(cls, a | c, b, P, Q) if grow_first else O(cls, a, b | c, P, Q)
-                    bad = base & ~union
+                    bad = union & ~base if anti else base & ~union
                     if bad:
                         return (a, b, c), bad
-        return None
-    return sweep
 
-
-def _shrinking_sweep(cls):
-    # anti-monotone schemes: the union's set must transfer to the base
     def sweep(O, coalitions, P, Q, full):
-        for a in coalitions:
-            for b in coalitions:
-                target = O(cls, a, b, P, Q)
-                if target == full:
+        steps = one_agent_supersets(coalitions)
+        for i, a in enumerate(coalitions):
+            for k, b in enumerate(coalitions):
+                answer = O(cls, a, b, P, Q)
+                if answer == (full if anti else 0):
                     continue
-                for c in coalitions:
-                    bad = O(cls, a | c, b, P, Q) & ~target
-                    if bad:
-                        return (a, b, c), bad
+                for j in steps[i] if grow_first else steps[k]:
+                    if grow_first:
+                        union = O(cls, coalitions[j], b, P, Q)
+                    else:
+                        union = O(cls, a, coalitions[j], P, Q)
+                    if union & ~answer if anti else answer & ~union:
+                        return first_triple(O, coalitions, P, Q)
         return None
     return sweep
 
@@ -208,14 +222,14 @@ def _mk_registry() -> dict[str, Scheme]:
 
     # cooperation operator
     axiom("Oc1", "cooperation is monotone in the acting coalition",
-          _growing_sweep(Oc, grow_first=True),
+          _monotone_sweep(Oc, grow_first=True),
           lambda A, B, C, p, q: implies(Oc(A, B, p, q), Oc(A | C, B, p, q)))
     axiom("Oc2", "cooperation is monotone in the responding coalition",
-          _growing_sweep(Oc, grow_first=False),
+          _monotone_sweep(Oc, grow_first=False),
           lambda A, B, C, p, q: implies(Oc(A, B, p, q), Oc(A, B | C, p, q)))
     axiom("Oc3", "cooperation collapses to joint unconditional ability",
           _pair_sweep(lambda O, a, b, P, Q, full:
-                      O(Oc, a, b, P, Q) & ~O(Oc, a | b, _EMPTY, P & Q, full)),
+                      (x := O(Oc, a, b, P, Q)) and x & ~O(Oc, a | b, _EMPTY, P & Q, full)),
           lambda A, B, p, q: implies(Oc(A, B, p, q),
                                      Oc(A | B, _EMPTY, And(p, q), TOP)))
     axiom("Oc4", "with no responder, splitting the goals is immaterial",
@@ -239,7 +253,7 @@ def _mk_registry() -> dict[str, Scheme]:
     # reactive and proactive operators: the same six schemes, restated
     def restate(prefix, op, reading):
         axiom(f"{prefix}1", f"{reading} ability is monotone in the responding coalition",
-              _growing_sweep(op, grow_first=False),
+              _monotone_sweep(op, grow_first=False),
               lambda A, B, C, p, q: implies(op(A, B, p, q), op(A, B | C, p, q)))
         axiom(f"{prefix}2", "securing a condition secures it",
               _single_sweep(lambda O, a, P, Q, full: full ^ O(op, a, _EMPTY, P, P)),
@@ -249,7 +263,7 @@ def _mk_registry() -> dict[str, Scheme]:
               lambda A, B, p, q: op(A, _EMPTY, bottom(), q))
         axiom(f"{prefix}4", "a securable condition cannot force the responder into absurdity",
               _pair_sweep(lambda O, a, b, P, Q, full:
-                          O(op, _EMPTY, a, full, P) & O(op, a, b, P, 0)),
+                          (x := O(op, _EMPTY, a, full, P)) and x & O(op, a, b, P, 0)),
               lambda A, B, p, q: implies(op(_EMPTY, A, TOP, p),
                                          Not(op(A, B, p, bottom()))))
         axiom(f"{prefix}5", "only responders outside the acting coalition matter",
@@ -267,25 +281,25 @@ def _mk_registry() -> dict[str, Scheme]:
 
     # the proactive operator only: anti-monotone in the acting coalition
     axiom("OaStar", "proactive ability is anti-monotone in the acting coalition",
-          _shrinking_sweep(Oalpha),
+          _monotone_sweep(Oalpha, grow_first=True, anti=True),
           lambda A, B, C, p, q: implies(Oalpha(A | C, B, p, q), Oalpha(A, B, p, q)))
 
     # interaction
     axiom("ConStR1", "proactive ability implies reactive ability",
           _pair_sweep(lambda O, a, b, P, Q, full:
-                      O(Oalpha, a, b, P, Q) & ~O(Obeta, a, b, P, Q)),
+                      (x := O(Oalpha, a, b, P, Q)) and x & ~O(Obeta, a, b, P, Q)),
           lambda A, B, p, q: implies(Oalpha(A, B, p, q), Obeta(A, B, p, q)))
     axiom("ConStR2", "securable condition plus reactive ability yields cooperation",
           _pair_sweep(lambda O, a, b, P, Q, full:
-                      (O(Obeta, _EMPTY, a, full, P) & O(Obeta, a, b, P, Q)
-                       & ~O(Oc, a, b, P, Q))),
+                      (x := O(Obeta, _EMPTY, a, full, P))
+                      and (x := x & O(Obeta, a, b, P, Q)) and x & ~O(Oc, a, b, P, Q)),
           lambda A, B, p, q: implies(And(Obeta(_EMPTY, A, TOP, p),
                                          Obeta(A, B, p, q)),
                                      Oc(A, B, p, q)))
 
     # the deliberately invalid scheme: anti-monotonicity for the reactive form
     axiom("ObAntiMon", "reactive ability is NOT anti-monotone in the acting coalition",
-          _shrinking_sweep(Obeta),
+          _monotone_sweep(Obeta, grow_first=True, anti=True),
           lambda A, B, C, p, q: implies(Obeta(A | C, B, p, q), Obeta(A, B, p, q)),
           valid=False)
 
@@ -372,14 +386,25 @@ def _coalition_desc(combo) -> str:
     return " ".join(f"{n}={{{','.join(sorted(c))}}}" for n, c in zip(names, combo))
 
 
+# how many formulas one substitution of each scheme kind holds
+_ARITY = {"axiom": 2, "rule": 4}
+
+
 def _read_substitutions(by_kind: dict) -> tuple:
     """Each kind's substitutions, read once, each paired with the
     positions of its formulas among the distinct formulas of all kinds;
     the distinct formulas come first."""
     formulas: dict = {}
-    slots = {kind: [(sub, tuple([formulas.setdefault(f, len(formulas)) for f in sub]))
-                    for sub in subs]
-             for kind, subs in by_kind.items()}
+    slots: dict = {}
+    for kind, subs in by_kind.items():
+        arity = _ARITY[kind]
+        listed = slots[kind] = []
+        for sub in subs:
+            if (not isinstance(sub, (tuple, list)) or len(sub) != arity
+                    or not all(isinstance(f, Formula) for f in sub)):
+                raise InputError(f"{kind} substitutions must be tuples of {arity} "
+                                 f"formulas, not {sub!r}")
+            listed.append((sub, tuple([formulas.setdefault(f, len(formulas)) for f in sub])))
     return tuple(formulas), slots
 
 
@@ -405,8 +430,15 @@ class _ModelSweep:
     outcome map, not once per model.  A model that repeats one swept
     before it gets no sweep at all (`_DistinctSweeps`): a default
     run_suite sweeps 4,834 of its 6,168 models and makes 16,719 table
-    builds and 188,040 evaluations, against 87,027 and 501,554 when
+    builds and 185,880 evaluations, against 87,027 and 489,522 when
     every swept model has an evaluator of its own.
+
+    `passed`, kept with `O` under the same test, maps each scheme's
+    sweep callable to the argument-set tuples of the instances it has
+    passed on this transition structure; `_scheme_counterexample` skips
+    those, since a sweep reads nothing that differs between the models
+    of one structure, and never keeps a failing instance.  A default
+    run_suite so runs 203,093 of its 287,441 instance sweeps.
 
     `instances(kind)` lists the (substitution, argument-set tuple) pairs
     of that kind, keeping a tuple only where it first appears: a later
@@ -424,9 +456,9 @@ class _ModelSweep:
         self._instances: dict = {}
         if previous is not None and _same_structure(previous.model, model):
             # the evaluator holds its model weakly; `first` keeps it alive
-            self.first, self.O = previous.first, previous.O
+            self.first, self.O, self.passed = previous.first, previous.O, previous.passed
         else:
-            self.first, self.O = model, operator_evaluator(model)
+            self.first, self.O, self.passed = model, operator_evaluator(model), {}
 
     def instances(self, kind: str) -> list:
         listed = self._instances.get(kind)
@@ -480,6 +512,9 @@ class _DistinctSweeps:
         seen: dict = {}
         last = sweep = None
         for model in self._models:
+            if not isinstance(model, GameModel):
+                raise InputError(f"models must be GameModel instances, "
+                                 f"not {type(model).__name__}")
             self.tried += 1
             if last is None or not _same_structure(last, model):
                 n = len(model.states)
@@ -499,10 +534,16 @@ class _DistinctSweeps:
 def _scheme_counterexample(scheme: Scheme, sweep: _ModelSweep) -> Counterexample | None:
     """First violating (state, instantiation) of one scheme on the model
     of `sweep`, whose instances and operator evaluator the schemes
-    sweeping that model share."""
+    sweeping that model share; instances this scheme passed on a model
+    of the same transition structure are skipped."""
+    passed = sweep.passed.setdefault(scheme.sweep, set())
     for sub, bits in sweep.instances(scheme.kind):
+        if bits in passed:
+            continue
         hit = scheme.sweep(sweep.O, sweep.subsets, *bits, sweep.full)
-        if hit is not None:
+        if hit is None:
+            passed.add(bits)
+        else:
             combo, bad = hit
             model = sweep.model
             state = model.states[(bad & -bad).bit_length() - 1]
@@ -518,20 +559,28 @@ def check_scheme(scheme: Scheme, models: Iterable[GameModel],
     """Sweep models, one at a time, for a violating instance of one
     scheme; the first model with one ends the sweep.  A model of the
     same transition structure as the one swept before takes over its
-    operator evaluator, and a model whose sweep inputs repeat those of
-    one swept before is counted in `models_tried` but not swept: it
-    cannot violate what its first copy did not.  The keys that tell
-    repeats apart, one packed int per swept model, go when the call
-    returns.
+    operator evaluator and the instances that passed on it, and a model
+    whose sweep inputs repeat those of one swept before is counted in
+    `models_tried` but not swept: it cannot violate what its first copy
+    did not.  The keys that tell repeats apart, one packed int per swept
+    model, go when the call returns.
 
     The default instantiation follows the registry kind: the atom pair
     (p, q) for axioms, all quadruples over {p, q} for rules.  Any
     iterable of substitutions is read once, so every model sweeps all
-    of them.
+    of them.  A scheme that is not a `Scheme`, models that are not an
+    iterable of `GameModel`, and a substitution of the wrong arity for
+    the scheme's kind or holding a non-formula raise InputError.
     """
+    if not isinstance(scheme, Scheme) or scheme.kind not in _ARITY:
+        raise InputError(f"scheme must be a Scheme of kind 'axiom' or 'rule', not {scheme!r}")
+    if not isinstance(models, Iterable):
+        raise InputError(f"models must be an iterable, not {type(models).__name__}")
     if substitutions is None:
         substitutions = (axiom_substitutions() if scheme.kind == "axiom"
                          else rule_substitutions())
+    elif not isinstance(substitutions, Iterable):
+        raise InputError(f"substitutions must be an iterable, not {type(substitutions).__name__}")
     sweeps = _DistinctSweeps(models, _read_substitutions({scheme.kind: substitutions}))
     found = None
     for sweep in sweeps:
@@ -697,13 +746,15 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
 
     Valid schemes share one pass over the generated family, taking its
     models one at a time; on each distinct model they share one
-    `_ModelSweep`, so an instance list is computed once per model and an
-    operator answer once per run of models with one transition
-    structure.  A model whose sweep inputs repeat a model swept before
-    in the call counts in `models_tried` without a sweep: the default
-    random draws of one and two states all repeat models of the
-    exhaustive families, so 1,334 of the 6,168 models of a default call
-    are skipped, for one packed int of memory per swept model.  The
+    `_ModelSweep`, so an instance list is computed once per model, and
+    an operator answer and a passing instance once per run of models
+    with one transition structure: a default call makes 2,689,795 calls
+    of the operator evaluator for 185,880 evaluations.  A model whose
+    sweep inputs repeat a model swept before in the call counts in
+    `models_tried` without a sweep: the default random draws of one and
+    two states all repeat models of the exhaustive families, so 1,334 of
+    the 6,168 models of a default call are skipped, for one packed int
+    of memory per swept model.  The
     expected-invalid schemes each hunt the counterexample stream through
     `check_scheme` until their budget runs out.
     """

@@ -10,13 +10,17 @@ across formulas of one model, and may keep its own results in a second,
 per-model dict.
 reference_parse_model and reference_validate_model read model text line
 by line and check the outcome map entry by entry, one branch per case.
-Two kinds of referee are the exception.  reference_check_cl_bisim and
+Three kinds of referee are the exception.  reference_check_cl_bisim and
 reference_check_constr_bisim call the engine's bisimulation clauses and
 pin only the checkers' loops around them.  holds_via_b_minus_a reads the
 engine's extensions and one-state quantifier nest, and pins only the
 responder rule of the operator evaluator: on valid models, the clause
 over b, the acting coalition winning the overlap, is the clause over
 b - a.
+reference_growing_sweep and reference_shrinking_sweep take the
+evaluator's answers as bitmasks and pin only the search of the
+coalition (anti-)monotonicity sweeps: plain triple loops over every
+(A, B, C), against which the one-agent-step sweeps are compared.
 """
 
 import itertools
@@ -195,6 +199,44 @@ def holds_via_b_minus_a(model: GameModel, state: State, f: Strategic) -> bool:
     goal = extension_bits(model, f.psi)
     reduced = f.b - f.a
     return strategic_holds_at(model, state, type(f), f.a, reduced, cond, goal)
+
+
+def reference_growing_sweep(cls, grow_first):
+    """The coalition-monotonicity sweep of `constr.validity` as one plain
+    triple loop: the first (A, B, C) in canonical order where the answer
+    at (A, B) is not kept at (A | C, B), or at (A, B | C) when not
+    `grow_first`, with its violating states, or None."""
+    def sweep(O, coalitions, P, Q, full):
+        for a in coalitions:
+            for b in coalitions:
+                base = O(cls, a, b, P, Q)
+                if not base:
+                    continue
+                for c in coalitions:
+                    union = O(cls, a | c, b, P, Q) if grow_first else O(cls, a, b | c, P, Q)
+                    bad = base & ~union
+                    if bad:
+                        return (a, b, c), bad
+        return None
+    return sweep
+
+
+def reference_shrinking_sweep(cls):
+    """The anti-monotonicity sweep of `constr.validity` as one plain
+    triple loop: the first (A, B, C) where the answer at (A | C, B) is
+    not kept at (A, B)."""
+    def sweep(O, coalitions, P, Q, full):
+        for a in coalitions:
+            for b in coalitions:
+                target = O(cls, a, b, P, Q)
+                if target == full:
+                    continue
+                for c in coalitions:
+                    bad = O(cls, a | c, b, P, Q) & ~target
+                    if bad:
+                        return (a, b, c), bad
+        return None
+    return sweep
 
 
 def irregular_model(seed, agentless_state=False, sizes=(1, 4)):

@@ -75,6 +75,29 @@ def test_rendering_examples():
     assert render(And(And(p, q), p)) == "p & q & p"
 
 
+def test_rendering_deep_formulas():
+    # far deeper than the interpreter's recursion limit
+    f = p
+    for _ in range(10_000):
+        f = Not(f)
+    assert render(f) == "~" * 10_000 + "p"
+    right = left = p
+    for _ in range(10_000):
+        right, left = And(q, right), And(left, q)
+    assert render(right) == "q & (" * 9_999 + "q & p" + ")" * 9_999
+    assert render(left) == "p" + " & q" * 10_000
+    strategic = p
+    for _ in range(10_000):
+        strategic = Oc(A, B, Not(And(strategic, q)), TOP)
+    assert render(strategic) == "Oc[{a},{b}](~(" * 10_000 + "p" + " & q), true)" * 10_000
+
+
+def test_rendering_a_non_formula_raises_type_error():
+    for f in ("p", Not("p"), And(p, 5)):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            render(f)
+
+
 @pytest.mark.parametrize("text", [
     "", "p &", "Oc[{a}](p, q)", "Oc[{a},{b}](p)", "[{a} p", "p q",
     "Oc[{a},{b}](p, q) q", "<<{a}>>x(p, q)", "{a}", "p & (q", "Oc[{a,a},{b}](p, q)",

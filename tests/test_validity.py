@@ -4,6 +4,7 @@ import collections
 import gc
 import inspect
 import itertools
+import random
 import re
 import weakref
 from dataclasses import replace
@@ -14,7 +15,7 @@ from constr import semantics, validity
 from constr.corpus import embedded_falsifier
 from constr.formula import Oalpha, Obeta, Oc, implies, parse_formula
 from constr.model import InputError, coalitions, validate_model
-from constr.semantics import extension_bits, holds
+from constr.semantics import extension_bits, holds, operator_evaluator
 from constr.textio import render_model
 from constr.validity import (
     DEFAULT_EXHAUSTIVE,
@@ -34,7 +35,12 @@ from constr.validity import (
     verify_counterexample,
 )
 
-from oracles import brute_holds, irregular_model
+from oracles import (
+    brute_holds,
+    irregular_model,
+    reference_growing_sweep,
+    reference_shrinking_sweep,
+)
 
 # frozen tag list; the registry must match it exactly or the suite is lying
 ALL_TAGS = (
@@ -233,6 +239,130 @@ def test_axiom_sweeps_on_models_with_an_idle_agent():
                        for combo in itertools.product(subsets, repeat=arity)
                        for state in m.states)
             assert check_scheme(scheme, [m]).found == want, (seed, tag)
+
+
+# the coalition-monotonicity schemes and their triple-loop referees
+MONOTONE = {
+    "Oc1": reference_growing_sweep(Oc, grow_first=True),
+    "Oc2": reference_growing_sweep(Oc, grow_first=False),
+    "Ob1": reference_growing_sweep(Obeta, grow_first=False),
+    "Oa1": reference_growing_sweep(Oalpha, grow_first=False),
+    "OaStar": reference_shrinking_sweep(Oalpha),
+    "ObAntiMon": reference_shrinking_sweep(Obeta),
+}
+
+
+def _perturbed_evaluator(seed, agents, full, anti):
+    # answers monotone in both coalitions (with anti, anti-monotone), one
+    # in eight with a bit flipped, so that violations come at every width
+    # and position; each answer is drawn from its own key alone, so the
+    # order of the calls does not matter
+    masks = dict(zip(agents, random.Random(seed).choices(range(full + 1), k=len(agents))))
+
+    def O(op, a, b, P, Q):
+        rng = random.Random(f"{seed} {op.__name__} {sorted(a)} {sorted(b)} {P} {Q}")
+        answer = P & Q
+        for agent in a | b:
+            answer |= masks[agent]
+        if anti:
+            answer = full & ~answer
+        if rng.random() < 1 / 8:
+            answer ^= 1 << rng.randrange(full.bit_length())
+        return answer
+
+    return O
+
+
+@pytest.mark.parametrize("agents", [2, 3])
+def test_monotone_sweeps_agree_with_the_triple_loop_referee(agents):
+    hits = collections.Counter()
+    for seed in range(12):
+        m = random_model(GeneratorBounds(agents, 1 + seed % 3, 2), seed)
+        subsets, full = coalitions(m.agents), m.full_bits
+        O = operator_evaluator(m)
+        masks = (0, full, extension_bits(m, parse_formula("p")), seed % (full + 1))
+        for tag, referee in MONOTONE.items():
+            sweep = SCHEMES[tag].sweep
+            for P, Q in itertools.product(masks, repeat=2):
+                got = sweep(O, subsets, P, Q, full)
+                assert got == referee(O, subsets, P, Q, full), (seed, tag, P, Q)
+                hits[tag] += got is not None
+            stub = _perturbed_evaluator(seed, m.agents, full, anti=tag.endswith(("Star", "Mon")))
+            got = sweep(stub, subsets, 1, full, full)
+            assert got == referee(stub, subsets, 1, full, full), (seed, tag)
+            hits[tag, "stub"] += got is not None
+    # every sweep found violations to report, and the valid schemes none
+    # on the models themselves
+    assert all(hits[tag, "stub"] for tag in MONOTONE)
+    assert all(not hits[tag] for tag in MONOTONE if tag != "ObAntiMon")
+    assert hits["ObAntiMon"] or agents == 2
+
+
+def test_monotone_sweeps_report_the_first_triple_not_the_tripping_step():
+    # O keeps state s0 at {a} and at {b} but drops it at {a, b}: the first
+    # violating triple in canonical order is (∅, ∅, {a, b}), while the
+    # one-agent step that trips the check is {a} -> {a, b}
+    subsets = coalitions(("a", "b"))
+    empty, both = subsets[0], subsets[-1]
+    for tag, grown in (("Oc1", 0), ("Oc2", 1), ("Ob1", 1), ("OaStar", 0), ("ObAntiMon", 0)):
+        anti = tag.endswith(("Star", "Mon"))
+
+        def O(op, a, b, P, Q):
+            dropped = (a, b)[grown] == both
+            return int(dropped if anti else not dropped)
+
+        assert SCHEMES[tag].sweep(O, subsets, 1, 1, 1) == ((empty, empty, both), 1), tag
+        assert MONOTONE[tag](O, subsets, 1, 1, 1) == ((empty, empty, both), 1), tag
+
+
+def _counted(scheme, calls):
+    # the scheme, its sweep recording the instance bits of every call
+    def sweep(O, coalitions, *bits):
+        calls.append(bits[:-1])
+        return scheme.sweep(O, coalitions, *bits)
+    return replace(scheme, sweep=sweep)
+
+
+def test_passed_instances_are_not_swept_again_on_the_same_structure():
+    # p and q swapped: the sixteen rule instances over {p, q} have the
+    # same argument sets on both labelings
+    base = random_model(GeneratorBounds(2, 2, 2), 1)
+    swapped = [replace(base, valuation={"p": frozenset({s}), "q": frozenset({t})})
+               for s, t in (("s0", "s1"), ("s1", "s0"))]
+    substitutions = validity._read_substitutions({"rule": rule_substitutions()})
+    for tag in ("RuleOcMon", "RuleObMon", "RuleOaMon"):
+        calls = []
+        scheme = _counted(SCHEMES[tag], calls)
+        first = validity._ModelSweep(swapped[0], substitutions)
+        second = validity._ModelSweep(swapped[1], substitutions, first)
+        listed = [bits for _, bits in first.instances("rule")]
+        assert sorted(listed) == sorted(bits for _, bits in second.instances("rule"))
+        assert validity._scheme_counterexample(scheme, first) is None
+        assert calls == listed
+        assert validity._scheme_counterexample(scheme, second) is None
+        assert calls == listed
+        for m in swapped:
+            fresh = validity._ModelSweep(replace(m), substitutions)
+            assert validity._scheme_counterexample(SCHEMES[tag], fresh) is None
+        calls.clear()
+        assert not check_scheme(scheme, swapped).found
+        assert calls == listed
+
+
+def test_a_failing_instance_is_swept_again():
+    calls = []
+    scheme = _counted(Scheme("OcAntiMon", "axiom", False, "cooperation read as anti-monotone "
+                             "in the acting coalition", _anti_monotone_cooperation_sweep,
+                             lambda A, B, C, p, q: implies(Oc(A | C, B, p, q), Oc(A, B, p, q))),
+                      calls)
+    m = _stream((2, 2, 2), 0, 1)[0]
+    substitutions = validity._read_substitutions({"axiom": axiom_substitutions()})
+    first = validity._ModelSweep(m, substitutions)
+    found = validity._scheme_counterexample(scheme, first)
+    again = validity._scheme_counterexample(scheme, validity._ModelSweep(replace(m),
+                                                                         substitutions, first))
+    assert (found.state, found.instance) == (again.state, again.instance)
+    assert len(calls) == 2 and not first.passed[scheme.sweep]
 
 
 def test_stress_sweeps_report_the_first_instance_in_order():
@@ -575,6 +705,31 @@ def test_repeats_before_the_first_violation_leave_the_verdict_unchanged(monkeypa
     assert (verdict.models_tried, cx.state, cx.instance) == unskipped
     assert len(made) == len(head) + 1
     assert _refuted_by_oracle(cx)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("tag", "scheme must be a Scheme of kind 'axiom' or 'rule', not 'Oc1'"),
+    ("bare-model", "models must be an iterable, not GameModel"),
+    ("non-model", "models must be GameModel instances, not tuple"),
+    ("rule-pair", "rule substitutions must be tuples of 4 formulas, not (<Atom p>, <Atom q>)"),
+    ("axiom-single", "axiom substitutions must be tuples of 2 formulas, not (<Atom p>,)"),
+    ("strings", "axiom substitutions must be tuples of 2 formulas, not ('p', 'q')"),
+])
+def test_check_scheme_rejects_malformed_arguments(case, message):
+    # these gave a bare AttributeError, TypeError, AttributeError, and a
+    # TypeError from inside a sweep for each substitution
+    m = embedded_falsifier()
+    p, q = parse_formula("p"), parse_formula("q")
+    args = {
+        "tag": ("Oc1", [m]),
+        "bare-model": (SCHEMES["Oc1"], m),
+        "non-model": (SCHEMES["Oc1"], [m, (m.agents, m.states)]),
+        "rule-pair": (SCHEMES["RuleOcMon"], [m], [(p, q)]),
+        "axiom-single": (SCHEMES["Oc1"], [m], [(p,)]),
+        "strings": (SCHEMES["Oc1"], [m], [("p", "q")]),
+    }[case]
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+        check_scheme(*args)
 
 
 @pytest.mark.parametrize("field, value", [
