@@ -119,13 +119,13 @@ def _labels(model: GameModel):
             for s in model.states}
 
 
-def _coalition_pairs(agents, disjoint_only: bool):
-    """(A, B) pairs in canonical order; responder overlap with the actor
-    is redundant (the clauses only see B through B minus A), so the
-    fixpoint loops use disjoint pairs only."""
+def _coalition_pairs(agents):
+    """The disjoint (A, B) pairs in canonical order.  A clause at an
+    overlapping (A, B) gives the verdict of the clause at (A, B minus A),
+    which comes earlier in that order, so the checker and the fixpoint
+    read only these."""
     subsets = coalitions(agents)
-    return tuple((a, b) for a in subsets for b in subsets
-                 if not (disjoint_only and a & b))
+    return tuple((a, b) for a in subsets for b in subsets if not a & b)
 
 
 class _Cover:
@@ -321,10 +321,13 @@ def check_constr_bisim(model: GameModel, relation,
     """Is the relation a bisimulation for the full conditional language?
 
     The three condition families are checked in the given order; the
-    verdict reports the first violated clause.  Restricting `families`
-    probes a single operator's conditions in isolation.  `families` is
-    read once, so any iterable of family names will do, but not a bare
-    string.
+    verdict reports the first violated clause.  Only the disjoint
+    (A, B) of `_coalition_pairs` are checked: the clause at an
+    overlapping pair gives the verdict of the earlier one at
+    (A, B minus A), so the first violation is the one every (A, B)
+    would give.  Restricting `families` probes a single operator's
+    conditions in isolation.  `families` is read once, so any iterable
+    of family names will do, but not a bare string.
     """
     if isinstance(families, str):
         raise InputError(f"families must be a collection of family names, "
@@ -333,7 +336,7 @@ def check_constr_bisim(model: GameModel, relation,
     unknown = set(families) - set(ALL_FAMILIES)
     if unknown:
         raise InputError(f"unknown condition families: {sorted(unknown)}")
-    pairs = _coalition_pairs(model.agents, disjoint_only=False)
+    pairs = _coalition_pairs(model.agents)
     return _check(model, relation, [[(f, a, b) for a, b in pairs] for f in families])
 
 
@@ -441,7 +444,7 @@ def _constr_refinement(model: GameModel):
     # every such bisimulation is a coalition-logic one (the coop clause
     # at coalitions (c, {}) implies the CL clause at c), so the
     # refinement starts from the classes of the greatest CL bisimulation
-    pairs = _coalition_pairs(model.agents, disjoint_only=True)
+    pairs = _coalition_pairs(model.agents)
     fails = _pair_fails(model, [(f, a, b) for a, b in pairs for f in ALL_FAMILIES])
     return _greatest(model, _cl_refinement(model)[0], fails)
 

@@ -12,10 +12,10 @@ sets) through the model's operator evaluator, which every scheme and
 model checking share with the kernel tables and results it keeps.  The
 schemes sweeping one model share its list of distinct instances, the
 models of one run with the same transition structure share one
-evaluator, so each distinct operator call is evaluated once per run,
-and a model whose sweep inputs repeat those of a model swept before it
-in the same call is counted but not swept again.  Within such a run an
-instance that passed a scheme is not swept again, and the coalition
+evaluator, so each distinct operator call is evaluated once per run.
+Within such a run an instance that passed a scheme is not swept again,
+and after the exhaustive families, a suite's random draw from one of
+them is counted but not swept: its family already was.  The coalition
 monotonicity schemes compare each answer only with the answers one
 agent larger.  That keeps sweeping all schemes over tens of thousands
 of generated models cheap.  Reported counterexamples are re-verified
@@ -79,8 +79,23 @@ def _skeleton(bounds: GeneratorBounds):
     return agents, states, avail, slots
 
 
+def _in_family(model: GameModel, bounds: GeneratorBounds) -> bool:
+    """Whether `enumerate_models(bounds)` yields a model with the same
+    sweep inputs: the same agents, states and actions, and atoms only
+    among the bounds' atoms."""
+    agents, states, avail, _ = _skeleton(bounds)
+    return (model.agents == agents and model.states == states and model.avail == avail
+            and model.valuation.keys() <= set(bounds.atoms))
+
+
+def _require_bounds(bounds) -> None:
+    if not isinstance(bounds, GeneratorBounds):
+        raise InputError(f"bounds must be a GeneratorBounds, not {bounds!r}")
+
+
 def model_count(bounds: GeneratorBounds) -> int:
     """How many models enumerate_models would yield for these bounds."""
+    _require_bounds(bounds)
     profiles = bounds.actions ** bounds.agents
     outcomes = bounds.states ** (profiles * bounds.states)
     labelings = 2 ** (len(bounds.atoms) * bounds.states)
@@ -92,10 +107,8 @@ def enumerate_models(bounds: GeneratorBounds, cap: int = 10 ** 6) -> Iterator[Ga
 
     The labelings of one outcome map come one after another, so the
     sweeps of `check_scheme` and `run_suite` share that map's operator
-    evaluator, and each model's structure part of the key that tells
-    repeats apart is computed once per map.  They rely on the order for
-    speed only, never for correctness.  Refuses to start when the family
-    size exceeds `cap`.
+    evaluator.  They rely on the order for speed only, never for
+    correctness.  Refuses to start when the family size exceeds `cap`.
     """
     count = model_count(bounds)
     if count > cap:
@@ -116,6 +129,10 @@ def enumerate_models(bounds: GeneratorBounds, cap: int = 10 ** 6) -> Iterator[Ga
 def random_model(bounds: GeneratorBounds, seed: int) -> GameModel:
     """One model of the exact shape, outcomes and labels drawn uniformly
     and independently; the same seed always yields the same model."""
+    _require_bounds(bounds)
+    # random.Random would seed from a float or a string without complaint
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InputError(f"seed must be an integer, not {seed!r}")
     rng = random.Random(seed)
     agents, states, avail, slots = _skeleton(bounds)
     outcome = {slot: states[rng.randrange(bounds.states)] for slot in slots}
@@ -427,11 +444,11 @@ class _ModelSweep:
     Extension bits and instance lists stay per model.
     `enumerate_models` yields every labeling of one outcome map in a
     row, so an enumerated family builds each kernel table once per
-    outcome map, not once per model.  A model that repeats one swept
-    before it gets no sweep at all (`_DistinctSweeps`): a default
-    run_suite sweeps 4,834 of its 6,168 models and makes 16,719 table
-    builds and 185,880 evaluations, against 87,027 and 489,522 when
-    every swept model has an evaluator of its own.
+    outcome map, not once per model.  A default run_suite makes one
+    sweep for each of 4,834 of its 6,168 models (`run_suite` says which
+    it skips), 16,719 table builds and 185,880 evaluations, against
+    87,027 and 489,522 when every swept model has an evaluator of its
+    own.
 
     `passed`, kept with `O` under the same test, maps each scheme's
     sweep callable to the argument-set tuples of the instances it has
@@ -474,63 +491,6 @@ class _ModelSweep:
         return listed
 
 
-def _successor_number(model: GameModel) -> int:
-    """The successor of every (state, profile) of the model, in state and
-    then profile order, as the digits of one number in base n, n the
-    number of states."""
-    n = len(model.states)
-    number = 0
-    for s in model.states:
-        for sb in model.successor_row(s):
-            number = number * n + sb.bit_length() - 1
-    return number
-
-
-class _DistinctSweeps:
-    """The sweeps of a model stream, one per distinct model, in stream
-    order; `tried` counts every model read so far, swept or not.
-
-    A model is swept only when no model swept before it in the stream had
-    the same sweep inputs: the agents, the availability shapes, the
-    successor rows, and the extension bits of the distinct substitution
-    formulas.  Those are all that `_ModelSweep` and the operator evaluator
-    read, so a repeat would give every scheme the verdict it got on the
-    first copy, and it can never be the first model with a counterexample.
-    Each swept model leaves one packed int, its successor number followed
-    by its extension bits, in a set per (agents, shapes); a model of the
-    same transition structure as the one read before it reuses that
-    model's successor number.  The keys go when the iteration ends.
-    """
-
-    def __init__(self, models: Iterable[GameModel], substitutions: tuple):
-        self._models = models
-        self._substitutions = substitutions
-        self.tried = 0
-
-    def __iter__(self) -> Iterator[_ModelSweep]:
-        formulas = self._substitutions[0]
-        seen: dict = {}
-        last = sweep = None
-        for model in self._models:
-            if not isinstance(model, GameModel):
-                raise InputError(f"models must be GameModel instances, "
-                                 f"not {type(model).__name__}")
-            self.tried += 1
-            if last is None or not _same_structure(last, model):
-                n = len(model.states)
-                keys = seen.setdefault((model.agents, model.shapes), set())
-                structure = _successor_number(model) << n * len(formulas)
-            last = model
-            key = structure
-            for i, f in enumerate(formulas):
-                key |= extension_bits(model, f) << n * i
-            if key in keys:
-                continue
-            keys.add(key)
-            sweep = _ModelSweep(model, self._substitutions, sweep)
-            yield sweep
-
-
 def _scheme_counterexample(scheme: Scheme, sweep: _ModelSweep) -> Counterexample | None:
     """First violating (state, instantiation) of one scheme on the model
     of `sweep`, whose instances and operator evaluator the schemes
@@ -557,13 +517,10 @@ def _scheme_counterexample(scheme: Scheme, sweep: _ModelSweep) -> Counterexample
 def check_scheme(scheme: Scheme, models: Iterable[GameModel],
                  substitutions=None) -> SchemeVerdict:
     """Sweep models, one at a time, for a violating instance of one
-    scheme; the first model with one ends the sweep.  A model of the
-    same transition structure as the one swept before takes over its
-    operator evaluator and the instances that passed on it, and a model
-    whose sweep inputs repeat those of one swept before is counted in
-    `models_tried` but not swept: it cannot violate what its first copy
-    did not.  The keys that tell repeats apart, one packed int per swept
-    model, go when the call returns.
+    scheme; the first model with one ends the sweep, and every model
+    read is swept and counted in `models_tried`.  A model of the same
+    transition structure as the one swept before takes over its
+    operator evaluator and the instances that passed on it.
 
     The default instantiation follows the registry kind: the atom pair
     (p, q) for axioms, all quadruples over {p, q} for rules.  Any
@@ -581,13 +538,19 @@ def check_scheme(scheme: Scheme, models: Iterable[GameModel],
                          else rule_substitutions())
     elif not isinstance(substitutions, Iterable):
         raise InputError(f"substitutions must be an iterable, not {type(substitutions).__name__}")
-    sweeps = _DistinctSweeps(models, _read_substitutions({scheme.kind: substitutions}))
-    found = None
-    for sweep in sweeps:
+    substitutions = _read_substitutions({scheme.kind: substitutions})
+    found = sweep = None
+    tried = 0
+    for model in models:
+        if not isinstance(model, GameModel):
+            raise InputError(f"models must be GameModel instances, "
+                             f"not {type(model).__name__}")
+        tried += 1
+        sweep = _ModelSweep(model, substitutions, sweep)
         found = _scheme_counterexample(scheme, sweep)
         if found is not None:
             break
-    return SchemeVerdict(scheme.tag, sweeps.tried, found)
+    return SchemeVerdict(scheme.tag, tried, found)
 
 
 def verify_counterexample(cx: Counterexample) -> bool:
@@ -744,21 +707,25 @@ def selected_schemes(config: SuiteConfig) -> list[Scheme]:
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     """Check every selected scheme against its model stream.
 
-    Valid schemes share one pass over the generated family, taking its
-    models one at a time; on each distinct model they share one
-    `_ModelSweep`, so an instance list is computed once per model, and
-    an operator answer and a passing instance once per run of models
-    with one transition structure: a default call makes 2,689,795 calls
-    of the operator evaluator for 185,880 evaluations.  A model whose
-    sweep inputs repeat a model swept before in the call counts in
-    `models_tried` without a sweep: the default random draws of one and
-    two states all repeat models of the exhaustive families, so 1,334 of
-    the 6,168 models of a default call are skipped, for one packed int
-    of memory per swept model.  The
-    expected-invalid schemes each hunt the counterexample stream through
-    `check_scheme` until their budget runs out.
+    Valid schemes share one pass over `valid_model_stream`, taking its
+    models one at a time and counting each in `models_tried`; on each
+    swept model they share one `_ModelSweep`, so an instance list is
+    computed once per model, and an operator answer and a passing
+    instance once per run of models with one transition structure: a
+    default call makes 2,689,795 calls of the operator evaluator for
+    185,880 evaluations.  A model that comes after the exhaustive
+    families and lies in one of them is not swept: the pass over that
+    family already swept a model with the same sweep inputs, so it
+    cannot change a verdict.  The default random draws of one and two
+    states are such models, so 1,334 of the 6,168 models of a default
+    call are skipped.  The expected-invalid schemes each hunt the
+    counterexample stream through `check_scheme` until their budget
+    runs out.  A config that is not a `SuiteConfig` raises InputError.
     """
-    config = config or SuiteConfig()
+    if config is None:
+        config = SuiteConfig()
+    elif not isinstance(config, SuiteConfig):
+        raise InputError(f"config must be a SuiteConfig, not {type(config).__name__}")
     by_kind = {"axiom": axiom_substitutions(config.stress),
                "rule": rule_substitutions(config.stress)}
     substitutions = _read_substitutions(by_kind)
@@ -768,15 +735,19 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     found: dict[str, Counterexample] = {}
     tried = 0
     if valid:
-        sweeps = _DistinctSweeps(valid_model_stream(config), substitutions)
-        for sweep in sweeps:
+        enumerated = sum(model_count(bounds) for bounds in config.exhaustive)
+        sweep = None
+        for model in valid_model_stream(config):
+            tried += 1
+            if tried > enumerated and any(_in_family(model, b) for b in config.exhaustive):
+                continue
+            sweep = _ModelSweep(model, substitutions, sweep)
             for scheme in valid:
                 if scheme.tag in found:
                     continue
                 cx = _scheme_counterexample(scheme, sweep)
                 if cx is not None:
                     found[scheme.tag] = cx
-        tried = sweeps.tried
 
     report = SuiteReport()
     for scheme in selected:

@@ -528,7 +528,8 @@ def reference_check_constr_bisim(model, relation, families=bisim.ALL_FAMILIES):
         return bisim.BisimVerdict(False, bad)
     rel = bisim._relation(model, pairs)
     inv = rel[::-1]
-    coalition_pairs = bisim._coalition_pairs(model.agents, disjoint_only=False)
+    subsets = coalitions(model.agents)
+    coalition_pairs = [(a, b) for a in subsets for b in subsets]
     for family in families:
         clause = _REFERENCE_CLAUSES[family]
         tags = _REFERENCE_TAGS[family]

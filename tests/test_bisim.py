@@ -141,8 +141,13 @@ def checker_subjects():
         models.append(oracles.irregular_model(4200 + i, sizes=(2, 5)))
         models.append(disjoint_union(random_model(bounds, 4300 + i),
                                      random_model(bounds, 4400 + i), "l", "r"))
+    return subjects + _relations_inside_atom_classes(models, 4500)
+
+
+def _relations_inside_atom_classes(models, seed):
+    subjects = []
     for i, m in enumerate(models):
-        rng = random.Random(4500 + i)
+        rng = random.Random(seed + i)
         labels = bisim._labels(m)
         inside = [(s, t) for s in m.states for t in m.states if labels[s] == labels[t]]
         subjects.append((m, frozenset(p for p in inside if rng.random() < 0.5)))
@@ -150,12 +155,14 @@ def checker_subjects():
     return subjects
 
 
-def test_checkers_match_reference_loops():
+def _checker_conditions(subjects):
     # one Forth/Back driver behind both checkers must report what the
     # separate loops did: the same first failing clause, tag, coalitions
-    # and witness, for all condition families and for each alone
+    # and witness, for all condition families and for each alone; the
+    # reference loops over every (A, B) pair, the checker over disjoint
+    # ones
     conditions = set()
-    for m, rel in checker_subjects():
+    for m, rel in subjects:
         verdicts = [(bisim.check_cl_bisim(m, rel), oracles.reference_check_cl_bisim(m, rel))]
         for families in (bisim.ALL_FAMILIES, *((f,) for f in bisim.ALL_FAMILIES)):
             verdicts.append((bisim.check_constr_bisim(m, rel, families),
@@ -163,7 +170,20 @@ def test_checkers_match_reference_loops():
         for got, want in verdicts:
             assert (got.to_json(), str(got)) == (want.to_json(), str(want)), (m.states, rel)
             conditions.add(got.failure.condition if got.failure else "ok")
+    return conditions
+
+
+def test_checkers_match_reference_loops():
+    conditions = _checker_conditions(checker_subjects())
     assert {"Back", "A-Back_c", "B-Back_alpha", "A-Back_beta", "ok"} <= conditions
+
+
+def test_checkers_match_reference_loops_with_an_idle_agent():
+    # one agent has no action at one state of each model
+    models = [oracles.irregular_model(4600 + i, agentless_state=True, sizes=(2, 5))
+              for i in range(40)]
+    conditions = _checker_conditions(_relations_inside_atom_classes(models, 4700))
+    assert {"A-Forth_c", "B-Forth_alpha", "A-Forth_beta", "A-Back_c", "ok"} <= conditions
 
 
 def test_greatest_on_single_state_model():
@@ -391,7 +411,7 @@ def test_refinement_logs_match_plain_grouping():
             m, [(bisim._CL, c, frozenset()) for c in coalitions(m.agents)])
         cl = reference_refinement(m, bisim._classes(m.states, labels.__getitem__), cl_fails)
         constr_fails = bisim._pair_fails(
-            m, [(f, a, b) for a, b in bisim._coalition_pairs(m.agents, disjoint_only=True)
+            m, [(f, a, b) for a, b in bisim._coalition_pairs(m.agents)
                 for f in bisim.ALL_FAMILIES])
         constr = reference_refinement(m, cl[0], constr_fails)
         assert comparable(bisim._cl_refinement(m)) == comparable(cl), m.states

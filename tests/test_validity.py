@@ -403,29 +403,23 @@ def _sweep_inputs(model, formulas):
 def test_each_model_is_freed_once_swept(family):
     # a model's sweep state lives only while it is swept, but for the
     # first model of a run with one transition structure, which the
-    # run's sweeps share; a repeat of a model swept before is read and
-    # dropped; nothing holds a reference cycle, so reference counting
+    # run's sweeps share; a repeat of a model swept before is swept
+    # again; nothing holds a reference cycle, so reference counting
     # alone frees each model
     if family == "random":
         source = (random_model(GeneratorBounds(2, 1 + seed % 3, 2), seed) for seed in range(20))
     else:
         source = enumerate_models(GeneratorBounds(2, 2, 1))
     formulas = (parse_formula("p"), parse_formula("q"))
-    refs, alive, held, inputs = [], [], [], set()
-    last = first = None  # the last swept model and the first of its run
+    refs, alive, firsts, inputs = [], [], [], set()
 
     def models():
-        nonlocal last, first
-        for i, model in enumerate(source):
-            alive.append({j for j, ref in enumerate(refs) if ref() is not None})
+        for model in source:
+            alive.append({i for i, ref in enumerate(refs) if ref() is not None})
+            same = refs and _structure(refs[-1]()) == _structure(model)
+            firsts.append(firsts[-1] if same else len(refs))
             refs.append(weakref.ref(model))
-            key = _sweep_inputs(model, formulas)
-            if key not in inputs:
-                inputs.add(key)
-                if last is None or _structure(refs[last]()) != _structure(model):
-                    first = i
-                last = i
-            held.append({first, last})
+            inputs.add(_sweep_inputs(model, formulas))
             yield model
 
     gc.collect()
@@ -433,14 +427,13 @@ def test_each_model_is_freed_once_swept(family):
     try:
         assert not check_scheme(SCHEMES["RuleOaMon"], models()).found
         # at each hand-over the caller's loop still holds the model it
-        # read last, and its sweep the model it swept last and the first
-        # model of that model's run
-        assert alive == [set()] + [{i} | held[i] for i in range(len(refs) - 1)]
+        # swept last, and its sweep the first model of that model's run
+        assert alive == [set()] + [{firsts[i], i} for i in range(len(refs) - 1)]
         if family == "random":
             assert len(inputs) < len(refs)
         else:
             assert len(inputs) == len(refs) == model_count(GeneratorBounds(2, 2, 1))
-            assert len({min(h) for h in held}) == 4
+            assert len(set(firsts)) == 4
         assert all(ref() is None for ref in refs)
         assert gc.collect() == 0
     finally:
@@ -573,11 +566,12 @@ def test_substitutions_are_read_once():
 ], ids=["random", "random-stress", "exhaustive"])
 def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, exhaustive,
                                                           seeds):
-    # a model is swept unless one with the same sweep inputs was swept
-    # before it; an evaluator is made for the first model of each run of
-    # swept models with one transition structure, and evaluates each
-    # distinct (operator, a, b - a, condition, goal) once, from the
-    # kernel table of (operator kind, a, b - a)
+    # a model is swept unless it comes after the exhaustive families and
+    # has the sweep inputs of one of their models; an evaluator is made
+    # for the first model of each run of swept models with one transition
+    # structure, and evaluates each distinct (operator, a, b - a,
+    # condition, goal) once, from the kernel table of (operator kind, a,
+    # b - a)
     evaluations = collections.Counter()
     models = []  # kept alive with their tables, so that no two tables share an id
     streamed = []
@@ -606,10 +600,10 @@ def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, e
     assert report.ok
     formulas = tuple(dict.fromkeys(f for sub in [*axiom_substitutions(stress),
                                                  *rule_substitutions(stress)] for f in sub))
-    inputs = {}
-    for m in streamed:
-        inputs.setdefault(_sweep_inputs(m, formulas), m)
-    swept = list(inputs.values())
+    enumerated = sum(model_count(bounds) for bounds in exhaustive)
+    family = {_sweep_inputs(m, formulas) for m in streamed[:enumerated]}
+    swept = streamed[:enumerated] + [m for m in streamed[enumerated:]
+                                     if _sweep_inputs(m, formulas) not in family]
     runs = [m for i, m in enumerate(swept)
             if i == 0 or _structure(swept[i - 1]) != _structure(m)]
     assert len(models) == len(runs) and all(m is r for m, r in zip(models, runs))
@@ -618,7 +612,7 @@ def test_suite_evaluates_each_distinct_operator_call_once(monkeypatch, stress, e
     assert report.outcomes[0].verdict.models_tried == len(streamed)
     if exhaustive:
         # one outcome map for (2, 1, 2), four for (2, 2, 1); the one-state
-        # random models repeat models of (2, 1, 2)
+        # random models are models of (2, 1, 2)
         assert len(runs) == 1 + 4 + len(seeds) - 2 < len(swept) < len(streamed)
 
 
@@ -635,7 +629,7 @@ def _count_sweeps(monkeypatch) -> list:
 
 
 def test_default_suite_sweeps_each_distinct_model_once(monkeypatch):
-    # the 667 one-state and 667 two-state random models repeat models of
+    # the 667 one-state and 667 two-state random models are models of
     # the (2, 1, 2) and (2, 2, 2) families; they are counted, not swept
     made = _count_sweeps(monkeypatch)
     report = run_suite()
@@ -652,12 +646,52 @@ def test_repeated_seeds_report_as_distinct_ones(monkeypatch):
     made = _count_sweeps(monkeypatch)
     family = (GeneratorBounds(2, 1, 2),)
     repeated = run_suite(SuiteConfig(exhaustive=family, seeds=(5,) * 9, budget=1))
-    # the family's 4 models, the two- and three-state draws of seed 5 (its
-    # one-state draw is in the family), and the embedded falsifier
-    assert len(made) == 4 + 2 + 1
+    # the family's 4 models, the three two-state and three three-state
+    # draws of seed 5 (its one-state draws are in the family), and the
+    # embedded falsifier
+    assert len(made) == 4 + 6 + 1
     distinct = run_suite(SuiteConfig(exhaustive=family, seeds=tuple(range(5, 14)), budget=1))
     assert repeated.to_json() == distinct.to_json()
     assert repeated.outcomes[0].verdict.models_tried == 4 + 9
+
+
+def test_draws_from_an_enumerated_family_are_counted_not_swept(monkeypatch):
+    # after the exhaustive pass, a draw from one of its families cannot
+    # change a verdict: the pass swept a model with its sweep inputs; a
+    # scheme the suite expects to hold but that fails makes the report
+    # carry a counterexample
+    scheme = Scheme("OcAntiMon", "axiom", True, "cooperation read as anti-monotone in "
+                    "the acting coalition", _anti_monotone_cooperation_sweep,
+                    lambda A, B, C, p, q: implies(Oc(A | C, B, p, q), Oc(A, B, p, q)))
+    monkeypatch.setitem(validity.SCHEMES, scheme.tag, scheme)
+    config = SuiteConfig(exhaustive=(GeneratorBounds(2, 2, 2),), random_models=9,
+                         include=("OcAntiMon", *EXPECTED_VALID_TAGS), budget=0)
+    stream = list(validity.valid_model_stream(config))
+    substitutions = validity._read_substitutions({"axiom": axiom_substitutions(),
+                                                  "rule": rule_substitutions()})
+    valid = [SCHEMES[tag] for tag in config.include]
+    found = {}
+    sweep = None
+    for m in stream:
+        sweep = validity._ModelSweep(m, substitutions, sweep)
+        for s in valid:
+            if s.tag not in found:
+                cx = validity._scheme_counterexample(s, sweep)
+                if cx is not None:
+                    found[s.tag] = cx
+    assert list(found) == ["OcAntiMon"]
+
+    made = _count_sweeps(monkeypatch)
+    report = run_suite(config)
+    # the 4,096 models of the family, then the one- and three-state
+    # draws; the two-state draws are counted but not swept
+    family = model_count(GeneratorBounds(2, 2, 2))
+    assert made == [2] * family + [1, 3] * 3
+    assert len(stream) == family + 9
+    for outcome in report.outcomes:
+        assert outcome.verdict == validity.SchemeVerdict(outcome.tag, len(stream),
+                                                         found.get(outcome.tag))
+    assert [o.passed for o in report.outcomes] == [False] + [True] * len(EXPECTED_VALID_TAGS)
 
 
 def _anti_monotone_cooperation_sweep(O, coalitions, P, Q, full):
@@ -703,7 +737,7 @@ def test_repeats_before_the_first_violation_leave_the_verdict_unchanged(monkeypa
     verdict = check_scheme(scheme, models)
     cx = verdict.counterexample
     assert (verdict.models_tried, cx.state, cx.instance) == unskipped
-    assert len(made) == len(head) + 1
+    assert len(made) == unskipped[0]
     assert _refuted_by_oracle(cx)
 
 
@@ -730,6 +764,29 @@ def test_check_scheme_rejects_malformed_arguments(case, message):
     }[case]
     with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
         check_scheme(*args)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("run_suite", "config must be a SuiteConfig, not dict"),
+    ("enumerate_models", "bounds must be a GeneratorBounds, not (2, 1, 1)"),
+    ("model_count", "bounds must be a GeneratorBounds, not (2, 1, 1)"),
+    ("random_model", "bounds must be a GeneratorBounds, not (2, 1, 1)"),
+    ("float-seed", "seed must be an integer, not 1.5"),
+    ("string-seed", "seed must be an integer, not '7'"),
+])
+def test_generators_and_suite_reject_malformed_arguments(case, message):
+    # the first four gave a bare AttributeError; a float or string seed
+    # seeded a model
+    call = {
+        "run_suite": lambda: run_suite({"budget": 1}),
+        "enumerate_models": lambda: list(enumerate_models((2, 1, 1))),
+        "model_count": lambda: model_count((2, 1, 1)),
+        "random_model": lambda: random_model((2, 1, 1), 1),
+        "float-seed": lambda: random_model(GeneratorBounds(2, 1, 1), 1.5),
+        "string-seed": lambda: random_model(GeneratorBounds(2, 1, 1), "7"),
+    }[case]
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("field, value", [
