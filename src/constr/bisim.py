@@ -130,33 +130,34 @@ def _coalition_pairs(agents):
 
 class _Cover:
     """Memoized cover check over one row table: x is covered in y when
-    every state of x has a row partner in y."""
+    every state of x lies in the row of some state of y.  The union of
+    the rows of y's states is computed once per y, and x is covered when
+    it lies inside it."""
 
     def __init__(self, rows):
         self.rows = rows
-        self.memo: dict = {}
+        self.unions: dict = {}
 
     def check(self, x: int, y: int) -> bool:
-        key = (x, y)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = True
+        union = self.unions.get(y)
+        if union is None:
             rows = self.rows
-            m = x
+            union = 0
+            m = y
             while m:
                 low = m & -m
-                if not (rows[low.bit_length() - 1] & y):
-                    hit = False
-                    break
+                union |= rows[low.bit_length() - 1]
                 m ^= low
-            self.memo[key] = hit
-        return hit
+            self.unions[y] = union
+        return not x & ~union
 
 
 def _relation(model: GameModel, pairs):
     """The relation as the check pair (fwd, rev): fwd(x, y) holds when every
-    state of x has a successor in y, rev(x, y) when every state of x has a
-    predecessor in y.  The inverse relation is (rev, fwd)."""
+    state of x has a successor in y, that is when x lies inside the
+    predecessors of y, and rev(x, y) when every state of x has a
+    predecessor in y, inside the successors of y.  The inverse relation
+    is (rev, fwd)."""
     n = len(model.states)
     idx = model.state_index
     fwd = [0] * n
@@ -164,7 +165,7 @@ def _relation(model: GameModel, pairs):
     for u, v in pairs:
         fwd[idx[u]] |= 1 << idx[v]
         rev[idx[v]] |= 1 << idx[u]
-    return _Cover(fwd).check, _Cover(rev).check
+    return _Cover(rev).check, _Cover(fwd).check
 
 
 # -- clause evaluators ----------------------------------------------------

@@ -339,16 +339,25 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
-            return Not(self.unary())
-        if tok.kind == "[":
-            self.next()
-            coalition = self.coalition()
-            self.expect("]")
-            return box(coalition, self.unary())
-        return self.primary()
+        """A run of `~` and `[C]` prefixes, read in a loop, then the
+        primary they apply to; the prefixes are applied innermost first,
+        so a prefix run of any length costs no recursion."""
+        prefixes = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "~":
+                self.next()
+                prefixes.append(None)
+            elif tok.kind == "[":
+                self.next()
+                prefixes.append(self.coalition())
+                self.expect("]")
+            else:
+                break
+        f = self.primary()
+        for coalition in reversed(prefixes):
+            f = Not(f) if coalition is None else box(coalition, f)
+        return f
 
     def primary(self) -> Formula:
         tok = self.next()

@@ -221,23 +221,6 @@ class GameModel:
             raise InputError(f"outcome map is not total at {state}")
         return succ
 
-    def _positions(self, coalition: Coalition) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.agents) if a in coalition)
-
-    def _cell_outcomes(self, state: State, actors: tuple[int, ...],
-                       responders: tuple[int, ...]) -> tuple[int, int, list[int]]:
-        """The outcome of every (actor joint action, responder joint
-        action) cell at a state, for the agents at the given ascending
-        positions: (n_a, n_r, outs) with outs[k * n_r + l] the outcome
-        bitmask of cell (k, l).  Every successor is ORed into its
-        profile's cell."""
-        n_a, n_r, cells = _cell_projection(self.shapes[self.state_index[state]],
-                                           actors, responders)
-        outs = [0] * (n_a * n_r)
-        for c, sb in zip(cells, self.successor_row(state)):
-            outs[c] |= sb
-        return n_a, n_r, outs
-
     def out_bits(self, sigma: JointAction) -> int:
         """Outcome set of a joint action, as a state bitmask.
 
@@ -275,8 +258,9 @@ class GameModel:
         key = (state, coalition)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = tuple(
-                self._cell_outcomes(state, self._positions(coalition), ())[2])
+            table = self._tables[key] = tuple(_cell_outcomes(
+                self.shapes[self.state_index[state]], self.successor_row(state),
+                _positions(self.agents, coalition), ())[2])
         return table
 
     def merged_out_bits(self, state: State, a: Coalition, b: Coalition):
@@ -290,12 +274,13 @@ class GameModel:
         if table is not None:
             return table
         r = b - a
-        n_a, n_r, outs = self._cell_outcomes(state, self._positions(a), self._positions(r))
+        shape = self.shapes[self.state_index[state]]
+        n_a, n_r, outs = _cell_outcomes(shape, self.successor_row(state),
+                                        _positions(self.agents, a), _positions(self.agents, r))
         rows = [outs[k * n_r:(k + 1) * n_r] for k in range(n_a)]
         if r != b:
             # a joint action of b plays the cell of its moves outside a
-            members = self._positions(b)
-            shape = self.shapes[self.state_index[state]]
+            members = _positions(self.agents, b)
             _, _, columns = _cell_projection(
                 tuple(shape[i] for i in members),
                 tuple(j for j, i in enumerate(members) if self.agents[i] in a),
@@ -336,6 +321,25 @@ def _cell_projection(shape: tuple[int, ...], actors: tuple[int, ...],
     for size, weight in zip(shape, weights):
         cells = [c + d * weight for c in cells for d in range(size)]
     return n_a, n_r, tuple(cells)
+
+
+def _positions(agents: tuple[Agent, ...], coalition: Coalition) -> tuple[int, ...]:
+    """The ascending positions of a coalition's members in the agent tuple."""
+    return tuple(i for i, a in enumerate(agents) if a in coalition)
+
+
+def _cell_outcomes(shape: tuple[int, ...], row: tuple[int, ...], actors: tuple[int, ...],
+                   responders: tuple[int, ...]) -> tuple[int, int, list[int]]:
+    """The outcome of every (actor joint action, responder joint action)
+    cell at a state of the given availability shape and successor row,
+    for the agents at the given ascending positions: (n_a, n_r, outs)
+    with outs[k * n_r + l] the outcome bitmask of cell (k, l).  Every
+    successor is ORed into its profile's cell."""
+    n_a, n_r, cells = _cell_projection(shape, actors, responders)
+    outs = [0] * (n_a * n_r)
+    for c, sb in zip(cells, row):
+        outs[c] |= sb
+    return n_a, n_r, outs
 
 
 # -- module-level operations on models ---------------------------------

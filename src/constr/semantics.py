@@ -9,28 +9,31 @@ acting coalition, responders outside it).  On a model of at most
 INDEX_CUTOFF_STATES states that is a kernel table: the distinct outcome
 signatures of the joint actions, with the states showing each, so one
 application is one pass over those signatures.  A table is built in one
-pass over each state's profiles, from the per-state cell outcomes that
-the model provides (model.py owns the profile and cell numbering).
+pass over each state's profiles, from the per-state cell outcomes of
+model.py, which owns the profile and cell numbering.
 
 A table pays for its build only when it is called many times, so a
 larger model keeps one successor-preimage index instead.  Per
 availability shape and successor state, the index packs into one int
 the (profile, state) pairs leading there, so that the same quantifier
-nest runs bit-parallel over all states of a shape.
+nest runs bit-parallel over all states of a shape.  Tables and index
+are built from each state's availability shape and successor row, which
+the evaluator reads when it is made, so it keeps no reference to its
+model.
 State sets travel as bitmasks internally; the public API speaks
 frozensets of state names.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
 from operator import and_, or_
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top
-from .model import Coalition, GameModel, InputError, State, _cell_projection, per_model
+from .model import (Coalition, GameModel, InputError, State, _cell_outcomes, _cell_projection,
+                    _positions, per_model)
 
 
 @dataclass(frozen=True)
@@ -54,10 +57,13 @@ def _minimal(masks) -> tuple[int, ...]:
     return tuple(keep)
 
 
-def _kernel_table(model: GameModel, proactive: bool, a: Coalition, r: Coalition) -> list:
+def _kernel_table(shapes, rows, proactive: bool, actors: tuple[int, ...],
+                  responders: tuple[int, ...]) -> list:
     """Distinct outcome signatures of one (operator kind, a, r), each with
     the bitmask of the states that show it; r is the responder coalition
-    stripped of a.
+    stripped of a, and `actors` and `responders` are the positions of a
+    and r in the agent tuple.  `shapes` and `rows` are each state's
+    availability shape and successor row, in state order.
 
     Each state takes one pass over its profiles, which gives the outcome
     of every (sigma_a, sigma_r) cell; a row's outcome is the OR of its
@@ -67,18 +73,16 @@ def _kernel_table(model: GameModel, proactive: bool, a: Coalition, r: Coalition)
     inside it.  Oalpha reads one entry per sigma_b column:
     (frozenset of (sigma_a outcome, merged outcome) pairs, states).
     """
-    actors = model._positions(a)
-    responders = model._positions(r)
     signatures: dict = {}
     bit = 1
-    for s in model.states:
-        n_a, n_r, merged = model._cell_outcomes(s, actors, responders)
-        rows = [merged[k * n_r:(k + 1) * n_r] for k in range(n_a)]
-        outs_a = [reduce(or_, row, 0) for row in rows]
+    for shape, row in zip(shapes, rows):
+        n_a, n_r, merged = _cell_outcomes(shape, row, actors, responders)
+        by_a = [merged[k * n_r:(k + 1) * n_r] for k in range(n_a)]
+        outs_a = [reduce(or_, outs, 0) for outs in by_a]
         if proactive:
             sigs = [frozenset(zip(outs_a, merged[k::n_r])) for k in range(n_r)]
         else:
-            sigs = [(out_a, _minimal(row)) for out_a, row in zip(outs_a, rows)]
+            sigs = [(out_a, _minimal(outs)) for out_a, outs in zip(outs_a, by_a)]
         for sig in sigs:
             signatures[sig] = signatures.get(sig, 0) | bit
         bit <<= 1
@@ -161,12 +165,12 @@ class _PreimageGroup:
         return bits
 
 
-def _preimage_index(model: GameModel) -> list[_PreimageGroup]:
-    """The model's states grouped by availability shape, built in one pass
-    over the states' successor bits."""
+def _preimage_index(shapes, rows) -> list[_PreimageGroup]:
+    """The states grouped by availability shape, built in one pass over
+    each state's successor row; `shapes` and `rows` are in state order."""
     by_shape: dict = {}
-    for i, (s, shape) in enumerate(zip(model.states, model.shapes)):
-        by_shape.setdefault(shape, []).append((i, model.successor_row(s)))
+    for i, (shape, row) in enumerate(zip(shapes, rows)):
+        by_shape.setdefault(shape, []).append((i, row))
     return [_PreimageGroup(shape, rows) for shape, rows in by_shape.items()]
 
 
@@ -275,28 +279,23 @@ def operator_evaluator(model: GameModel):
     action there though r may have one, so (a, b) is answered on its
     own.  Only models that validate_model rejects have such states.
 
-    The evaluator holds its model weakly, so that keeping it with the
-    model makes no reference cycle; a call that needs a table or the
-    index after the model is freed raises InputError.
+    The evaluator reads, when it is made, all that its tables and index
+    are built from: each state's availability shape and successor row,
+    the agent tuple and the full state set.  It keeps no reference to
+    the model, so keeping it with the model makes no reference cycle,
+    and it answers on after the model is freed.  A model whose outcome
+    map is not total raises InputError here, naming its first incomplete
+    state in state order.
     """
     shapes = model.shapes
+    rows = tuple(map(model.successor_row, model.states))
+    agents = model.agents
     full = model.full_bits
-    agent_index = model.agent_index
     idle = any(0 in shape for shape in shapes)
     by_index = len(shapes) > INDEX_CUTOFF_STATES
-    # the evaluator is kept with the model, so a strong reference would
-    # make a cycle that only the cyclic garbage collector can free
-    model_ref = weakref.ref(model)
     tables: dict = {}
     answers: dict = {}
     index = None
-
-    def live_model() -> GameModel:
-        game = model_ref()
-        if game is None:
-            raise InputError("the model of this operator evaluator has been freed; "
-                             "keep a reference to the model while calling it")
-        return game
 
     def evaluate(key):
         nonlocal index
@@ -309,18 +308,18 @@ def operator_evaluator(model: GameModel):
         held = answers.get(shared)
         if held is None:
             if by_index:
-                game = live_model()
                 if index is None:
-                    index = _preimage_index(game)
-                held = _index_answer(index, proactive, op is Oc, game._positions(a),
-                                     game._positions(r), cond_bits, goal_bits)
+                    index = _preimage_index(shapes, rows)
+                held = _index_answer(index, proactive, op is Oc, _positions(agents, a),
+                                     _positions(agents, r), cond_bits, goal_bits)
             else:
                 table = tables.get((proactive, a, r))
                 if table is None:
-                    table = tables[proactive, a, r] = _kernel_table(live_model(), proactive, a, r)
+                    table = tables[proactive, a, r] = _kernel_table(
+                        shapes, rows, proactive, _positions(agents, a), _positions(agents, r))
                 held = _table_answer(table, proactive, op is Oc, full, cond_bits, goal_bits)
             if proactive and idle and a & b:
-                both = [agent_index[ag] for ag in a & b]
+                both = _positions(agents, a & b)
                 for i, shape in enumerate(shapes):
                     if not all(shape[j] for j in both):
                         held &= ~(1 << i)

@@ -439,9 +439,10 @@ class _ModelSweep:
     `O` is the model's operator evaluator, which keeps one answer per
     distinct call, however many schemes and instances ask it.  A sweep
     handed the `previous` sweep of a model with the same transition
-    structure keeps its `O`: the evaluator of that structure's first
-    model, which `first` holds, with what it has evaluated so far.
-    Extension bits and instance lists stay per model.
+    structure keeps its `O`: the evaluator made for that structure's
+    first model, with what it has evaluated so far.  The evaluator
+    keeps no model, so a sweep holds no model but its own.  Extension
+    bits and instance lists stay per model.
     `enumerate_models` yields every labeling of one outcome map in a
     row, so an enumerated family builds each kernel table once per
     outcome map, not once per model.  A default run_suite makes one
@@ -472,10 +473,9 @@ class _ModelSweep:
         self._ext = [extension_bits(model, f) for f in formulas]
         self._instances: dict = {}
         if previous is not None and _same_structure(previous.model, model):
-            # the evaluator holds its model weakly; `first` keeps it alive
-            self.first, self.O, self.passed = previous.first, previous.O, previous.passed
+            self.O, self.passed = previous.O, previous.passed
         else:
-            self.first, self.O, self.passed = model, operator_evaluator(model), {}
+            self.O, self.passed = operator_evaluator(model), {}
 
     def instances(self, kind: str) -> list:
         listed = self._instances.get(kind)

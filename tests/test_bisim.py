@@ -186,6 +186,27 @@ def test_checkers_match_reference_loops_with_an_idle_agent():
     assert {"A-Forth_c", "B-Forth_alpha", "A-Forth_beta", "A-Back_c", "ok"} <= conditions
 
 
+def test_relation_checks_match_their_definition():
+    # fwd(x, y): every state of x has a successor in y; rev(x, y): every
+    # state of x has a predecessor in y; on relations that are not
+    # symmetric and leave some states with no partner
+    rng = random.Random(4900)
+    asymmetric = unpartnered = 0
+    for trial in range(30):
+        m = random_model(GeneratorBounds(2, rng.randint(2, 6), 2), 4900 + trial)
+        pairs = {(u, v) for u in m.states for v in m.states if rng.random() < 0.3}
+        asymmetric += any((v, u) not in pairs for u, v in pairs)
+        unpartnered += len({u for u, _ in pairs}) < len(m.states) > len({v for _, v in pairs})
+        fwd, rev = bisim._relation(m, pairs)
+        for x in range(1 << len(m.states)):
+            xs = m.states_of(x)
+            for y in range(1 << len(m.states)):
+                ys = m.states_of(y)
+                assert fwd(x, y) == all(any((u, v) in pairs for v in ys) for u in xs)
+                assert rev(x, y) == all(any((v, u) in pairs for v in ys) for u in xs)
+    assert asymmetric > 20 and unpartnered > 5
+
+
 def test_greatest_on_single_state_model():
     m = parse_model("agents: a\nstates: s0\nactions s0 a: a1\ngo s0 (a1) -> s0\n")
     assert bisim.greatest_constr_bisim(m) == {("s0", "s0")}

@@ -53,9 +53,19 @@ def test_check_explain_and_json(runner, workdir):
     assert payload["explain"]["operator"] == "Oa"
 
 
-@pytest.mark.parametrize("text", [
-    "~" * 1000 + "p", "~" * 10_000 + "p", "(" * 300 + "p" + ")" * 300,
-], ids=["not1000", "not10000", "parens300"])
+@pytest.mark.parametrize("depth", [1000, 10_000], ids=["not1000", "not10000"])
+def test_deep_negation_chain_answers(runner, workdir, depth):
+    # an even chain of negations answers as its atom does
+    ex1 = str(workdir / "ex1.cgm")
+    text = "~" * depth + "p"
+    for args in (["check", ex1, "s0"], ["check", ex1, "s3"], ["extension", ex1]):
+        r = runner.invoke(main, args + [text])
+        plain = runner.invoke(main, args + ["p"])
+        assert (r.exit_code, r.output) == (plain.exit_code, plain.output), args
+        assert r.exit_code in (0, 1)
+
+
+@pytest.mark.parametrize("text", ["(" * 300 + "p" + ")" * 300], ids=["parens300"])
 def test_deeply_nested_formula_exits_2(runner, workdir, text):
     ex1 = str(workdir / "ex1.cgm")
     for args in (["check", ex1, "s0", text], ["extension", ex1, text]):

@@ -310,10 +310,12 @@ def test_operator_evaluator_names_first_state_without_outcome():
         outcome={("s0", ("a1",)): "s0", ("s0", ("a2",)): "s1",
                  ("s1", ("a1",)): "s2", ("s2", ("a1",)): "s0"},
         valuation={})
-    O = operator_evaluator(m)
-    for op in (Oc, Oalpha, Obeta):
+    # the evaluator reads every successor row when it is made; a failed
+    # construction is not kept, so a second one fails the same way
+    for _ in range(2):
         with pytest.raises(InputError, match=r"^outcome map is not total at s1$"):
-            O(op, frozenset("a"), frozenset(), m.full_bits, m.full_bits)
+            operator_evaluator(m)
+    for op in (Oc, Oalpha, Obeta):
         with pytest.raises(InputError, match=r"^outcome map is not total at s1$"):
             holds(m, "s0", op(frozenset(), frozenset("a"), TOP, p))
 
@@ -378,7 +380,7 @@ def test_overlapping_call_after_its_disjoint_one():
                     (cond_bits, cond), (goal_bits, goal) = rng.choice(sets), rng.choice(sets)
                     disjoint = O(op, a, b - a, cond_bits, goal_bits)
                     got = O(op, a, b, cond_bits, goal_bits)
-                    copy = replace(m)  # the evaluator holds its model weakly
+                    copy = replace(m)  # with an evaluator of its own
                     fresh = operator_evaluator(copy)(op, a, b, cond_bits, goal_bits)
                     want = m.bits_of(brute_operator_states(m, op, a, b, cond, goal))
                     assert got == fresh == want, (m.states, m.avail, op.token, a, b, cond, goal)
@@ -390,23 +392,29 @@ def test_overlapping_call_after_its_disjoint_one():
     lambda: replace(fixture_model("ex1")),
     lambda: random_model(GeneratorBounds(2, INDEX_CUTOFF_STATES + 5, 2), 3),
 ], ids=["kernel", "index"])
-def test_evaluator_of_a_freed_model_raises_input_error(build):
-    # the evaluator holds its model weakly, so that no reference cycle
-    # forms; once the model is gone, a call it has no answer for cannot
-    # be evaluated
+def test_evaluator_outlives_its_model(build):
+    # the evaluator keeps no reference to its model, so reference counting
+    # alone frees the model, and the evaluator builds its tables or index
+    # afterwards from the successor rows it read when it was made
     gc.collect()
     gc.disable()
     try:
         m = build()
         O = operator_evaluator(m)
         a, b, full = frozenset({"a"}), frozenset({"b"}), m.full_bits
-        kept = O(Oc, a, b, full, full)
+        sets = [full, 0, full & 0x5555555, full & 0x3333333]
         ref = weakref.ref(m)
         del m
         assert ref() is None
-        assert O(Oc, a, b, full, full) == kept
-        with pytest.raises(InputError, match="has been freed"):
-            O(Oalpha, a, b, full, full)
+        equal = build()
+        fresh = operator_evaluator(equal)
+        for op in (Oc, Oalpha, Obeta):
+            for cond_bits in sets:
+                for goal_bits in sets:
+                    got = O(op, a, b, cond_bits, goal_bits)
+                    assert got == fresh(op, a, b, cond_bits, goal_bits), \
+                        (op.token, cond_bits, goal_bits)
+        del equal, fresh, O
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -451,12 +459,11 @@ def test_index_path_names_first_state_without_outcome():
                for profile in itertools.product("xy", repeat=2)}
     del outcome["s7", ("y", "x")], outcome["s3", ("x", "y")]
     m = GameModel(("a", "b"), states, avail, outcome, {"p": frozenset(states[:4])})
-    O = operator_evaluator(m)
+    # a failed construction is not kept: the next one fails the same way
+    for _ in range(2):
+        with pytest.raises(InputError, match=r"^outcome map is not total at s3$"):
+            operator_evaluator(m)
     for op in (Oc, Oalpha, Obeta):
-        # a failed index build is not kept: the next call fails the same way
-        for _ in range(2):
-            with pytest.raises(InputError, match=r"^outcome map is not total at s3$"):
-                O(op, frozenset("a"), frozenset("b"), m.full_bits, m.full_bits)
         with pytest.raises(InputError, match=r"^outcome map is not total at s3$"):
             holds(m, "s0", op(frozenset("b"), frozenset("ab"), TOP, p))
 

@@ -401,23 +401,20 @@ def _sweep_inputs(model, formulas):
 
 @pytest.mark.parametrize("family", ["random", "enumerated"])
 def test_each_model_is_freed_once_swept(family):
-    # a model's sweep state lives only while it is swept, but for the
-    # first model of a run with one transition structure, which the
-    # run's sweeps share; a repeat of a model swept before is swept
-    # again; nothing holds a reference cycle, so reference counting
-    # alone frees each model
+    # a model's sweep state lives only while it is swept: the evaluator
+    # the sweeps of one transition structure share keeps no model; a
+    # repeat of a model swept before is swept again; nothing holds a
+    # reference cycle, so reference counting alone frees each model
     if family == "random":
         source = (random_model(GeneratorBounds(2, 1 + seed % 3, 2), seed) for seed in range(20))
     else:
         source = enumerate_models(GeneratorBounds(2, 2, 1))
     formulas = (parse_formula("p"), parse_formula("q"))
-    refs, alive, firsts, inputs = [], [], [], set()
+    refs, alive, inputs = [], [], set()
 
     def models():
         for model in source:
             alive.append({i for i, ref in enumerate(refs) if ref() is not None})
-            same = refs and _structure(refs[-1]()) == _structure(model)
-            firsts.append(firsts[-1] if same else len(refs))
             refs.append(weakref.ref(model))
             inputs.add(_sweep_inputs(model, formulas))
             yield model
@@ -426,14 +423,13 @@ def test_each_model_is_freed_once_swept(family):
     gc.disable()
     try:
         assert not check_scheme(SCHEMES["RuleOaMon"], models()).found
-        # at each hand-over the caller's loop still holds the model it
-        # swept last, and its sweep the first model of that model's run
-        assert alive == [set()] + [{firsts[i], i} for i in range(len(refs) - 1)]
+        # at each hand-over only the model read last is alive: the
+        # caller's loop and its sweep hold it
+        assert alive == [set()] + [{i} for i in range(len(refs) - 1)]
         if family == "random":
             assert len(inputs) < len(refs)
         else:
             assert len(inputs) == len(refs) == model_count(GeneratorBounds(2, 2, 1))
-            assert len(set(firsts)) == 4
         assert all(ref() is None for ref in refs)
         assert gc.collect() == 0
     finally:
@@ -471,8 +467,9 @@ def test_shared_sweeps_answer_as_fresh_ones(stream):
     sweep = None
     shared = 0
     for tried, m in enumerate(models, 1):
+        previous = sweep
         sweep = validity._ModelSweep(m, substitutions, sweep)
-        shared += sweep.first is not m
+        shared += previous is not None and sweep.O is previous.O
         # a copy of the model has none of its evaluator state
         fresh = validity._ModelSweep(replace(m), substitutions)
         for tag, scheme in SCHEMES.items():
