@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .model import Coalition, ParseError
+from .model import Coalition, InputError, ParseError
 
 
 class Formula:
@@ -418,6 +418,8 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into a core AST, desugaring derived forms."""
+    if not isinstance(text, str):
+        raise InputError(f"formula text must be a str, not {type(text).__name__}")
     try:
         return _Parser(text).parse()
     except RecursionError:

@@ -8,15 +8,11 @@ Model format (UTF-8, `#` starts a comment):
     actions s0 a: a1 a2       # one line per state and agent
     go s0 (a1,b1) -> s1       # one line per full profile, in agent order
 
-The lines render_model writes are read by a first branch once both
-`agents:` and `states:` are declared: a go line that starts `go ` and
-splits into the five tokens `go S (a1,b1,...) -> T`, and a `labels S: ...`
-or `actions S A: ...` line that starts with its keyword and holds no `#`.
-Each is one split or partition, and the tuple of a go line's `(...)`
-token or of an actions line's text after the `:` is shared by every
-line with the same text.  Every other line, and every such line that
-branch would reject, goes through the general branch, which gives each
-error message and line number.
+parse_model reads each line kind in one branch, which also gives every
+error message with its line number.  Comments are cut from every line
+before the first is read, and only when the text holds a `#`; a line
+that starts `go ` is split as it stands, and every other line is
+stripped first.
 
 Relation format: one `s ~ t` pair per line.
 """
@@ -25,27 +21,14 @@ from __future__ import annotations
 
 import re
 
-from .model import GameModel, ParseError
+from .model import GameModel, InputError, ParseError
 
 _GO_RE = re.compile(r"^go\s+(\S+)\s+\(([^()]*)\)\s*->\s*(\S+)$")
+_UNDECLARED = "agents: and states: must be declared first"
 
 
 def _fail(lineno: int, msg: str):
     raise ParseError(f"line {lineno}: {msg}")
-
-
-def _canonical_profile(token: str, n_agents: int) -> tuple[str, ...] | None:
-    """The profile of a `(a1,b1,...)` token, or None where the general
-    branch would read the line differently or reject it."""
-    inner = token[1:-1]
-    if (token[:1] != "(" or token[-1:] != ")"
-            or "(" in inner or ")" in inner or "#" in inner):
-        return None
-    # a token holds no blank, so no action needs stripping
-    profile = tuple(inner.split(","))
-    if len(profile) != n_agents or "" in profile:
-        return None
-    return profile
 
 
 def parse_model(text: str) -> GameModel:
@@ -56,156 +39,131 @@ def parse_model(text: str) -> GameModel:
     rejected; totality of the outcome map is left to validate_model so
     that partial files can still be loaded and diagnosed.
 
-    Once `agents:` and `states:` are both read, a first branch stores
-    each line of the three kinds render_model writes that names only
-    declared states and agents and repeats no earlier key:
-    - a go line that starts `go ` and splits into the five tokens
-      `go S (a1,b1,...) -> T`, its profile tuple taken from a per-parse
-      dict keyed by the `(...)` token;
-    - a `labels S: ...` line that starts `labels ` and holds no `#`;
-    - an `actions S A: ...` line that starts `actions `, holds no `#`
-      and repeats no action, its action tuple taken from a per-parse
-      dict keyed by the text after the `:`.
-    So each distinct profile or action list is checked once and shared.
-    Any other line, and any such line that branch would reject, goes
-    through the general branch, which gives every error message and
-    line number; the stored model and the order of `avail` and of the
-    valuation are the ones the general branch alone would give.
+    Each line kind has one branch, which reads its fields, checks them in
+    a fixed order and stores them.  Two per-parse caches let lines with
+    the same text share one tuple and skip the checks that the text alone
+    decides: a go line's `(...)` token maps to its profile, and an actions
+    line's text after the `:` to its action tuple.  The action cache is
+    filled once its line has passed every check; the profile cache once
+    the profile has passed its own, since any later error ends the parse.
+    A go line that splits into the five tokens `go S (a1,b1,...) -> T`
+    with a cached third token takes its fields from those tokens; any
+    other go line is matched against the go-line pattern, and its token
+    is cached only when it is `(`, the matched profile text, `)`.
     """
     agents: tuple[str, ...] | None = None
     states: tuple[str, ...] | None = None
-    agent_set: frozenset = frozenset()
-    state_set: frozenset = frozenset()
     avail: dict[tuple[str, str], tuple[str, ...]] = {}
     outcome: dict[tuple[str, tuple[str, ...]], str] = {}
     labels: dict[str, tuple[str, ...]] = {}
     # declared name -> itself, so stored keys share its string
     state_of: dict[str, str] = {}
     agent_of: dict[str, str] = {}
-    # text after an actions line's `:` -> its tuple, when no action repeats
-    acts_of: dict[str, tuple[str, ...]] = {}
-    # `(...)` token -> its profile tuple, once agents are declared
+    # `(...)` token -> its profile tuple
     profile_of: dict[str, tuple[str, ...]] = {}
+    # text after an actions line's `:` -> its action tuple
+    acts_of: dict[str, tuple[str, ...]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("go "):
-            tokens = raw.split()
-            if len(tokens) == 5 and tokens[3] == "->":
-                state = state_of.get(tokens[1])
-                target = state_of.get(tokens[4])
-                profile = profile_of.get(tokens[2])
-                if profile is None and agents is not None:
-                    profile = _canonical_profile(tokens[2], len(agents))
-                    if profile is not None:
-                        profile_of[tokens[2]] = profile
-                if (state is not None and target is not None and profile is not None
-                        and (state, profile) not in outcome):
-                    outcome[(state, profile)] = target
-                    continue
-        elif raw.startswith("actions ") and "#" not in raw:
-            head, sep, rest = raw.partition(":")
+    if not isinstance(text, str):
+        raise InputError(f"model text must be a str, not {type(text).__name__}")
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    cached_profile = profile_of.get
+    for lineno, line in enumerate(lines, start=1):
+        # a line that starts `go ` is split as it stands; any other line is
+        # stripped, and only one that stripping changed can still be a go line
+        if line.startswith("go ") or line != (line := line.strip()) and line.startswith("go "):
+            tokens = line.split()
+            token = tokens[2] if len(tokens) == 5 and tokens[3] == "->" else None
+            profile = cached_profile(token)
+            if profile is not None:
+                name, target_name = tokens[1], tokens[4]
+            else:
+                if agents is None or states is None:
+                    _fail(lineno, _UNDECLARED)
+                m = _GO_RE.match(line.rstrip())
+                if not m:
+                    # `go ` and blanks alone strips to the unrecognized `go`
+                    _fail(lineno, "expected 'go STATE (a1,b1,...) -> STATE'" if len(tokens) > 1
+                          else "unrecognized line 'go'")
+                name, profile_text, target_name = m.groups()
+            try:
+                state, target = state_of[name], state_of[target_name]
+            except KeyError:
+                _fail(lineno, f"unknown state {target_name if name in state_of else name!r}")
+            if profile is None:
+                profile = tuple(map(str.strip, profile_text.split(",")))
+                if len(profile) != len(agents) or "" in profile:
+                    _fail(lineno, f"profile must list one action per agent ({len(agents)} expected)")
+                if token is not None and token[1:-1] == profile_text:
+                    profile_of[token] = profile
+            key = (state, profile)
+            if key in outcome:
+                _fail(lineno, f"duplicate go line for ({','.join(profile)}) at {state}")
+            outcome[key] = target
+
+        elif line.startswith("actions "):
+            if agents is None or states is None:
+                _fail(lineno, _UNDECLARED)
+            head, sep, rest = line.partition(":")
+            if not sep:
+                _fail(lineno, "actions line needs a ':'")
+            parts = head.split()
+            if len(parts) != 3:
+                _fail(lineno, "expected 'actions STATE AGENT: ...'")
+            state, agent = state_of.get(parts[1]), agent_of.get(parts[2])
+            if state is None:
+                _fail(lineno, f"unknown state {parts[1]!r}")
+            if agent is None:
+                _fail(lineno, f"unknown agent {parts[2]!r}")
+            if (state, agent) in avail:
+                _fail(lineno, f"duplicate actions line for {state} {agent}")
             acts = acts_of.get(rest)
             if acts is None:
                 acts = tuple(rest.split())
-                if len(set(acts)) == len(acts):
-                    acts_of[rest] = acts
-                else:
-                    acts = None
-            parts = head.split()
-            if sep and acts is not None and len(parts) == 3:
-                state = state_of.get(parts[1])
-                agent = agent_of.get(parts[2])
-                if state is not None and agent is not None and (state, agent) not in avail:
-                    avail[(state, agent)] = acts
-                    continue
-        elif raw.startswith("labels ") and "#" not in raw and agents is not None:
-            head, sep, rest = raw.partition(":")
-            state = state_of.get(head[len("labels "):])
-            if sep and state is not None and state not in labels:
-                labels[state] = tuple(rest.split())
-                continue
+                if len(set(acts)) != len(acts):
+                    _fail(lineno, "repeated action name")
+                acts_of[rest] = acts
+            avail[(state, agent)] = acts
 
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
+        elif line.startswith("labels "):
+            if agents is None or states is None:
+                _fail(lineno, _UNDECLARED)
+            head, sep, rest = line.partition(":")
+            if not sep:
+                _fail(lineno, "labels line needs a ':'")
+            name = head[len("labels "):].strip()
+            state = state_of.get(name)
+            if state is None:
+                _fail(lineno, f"unknown state {name!r}")
+            if state in labels:
+                _fail(lineno, f"duplicate labels line for {state}")
+            labels[state] = tuple(rest.split())
 
-        if line.startswith("agents:"):
+        elif line.startswith("agents:"):
             if agents is not None:
                 _fail(lineno, "duplicate agents line")
             agents = tuple(line[len("agents:"):].split())
             if not agents:
                 _fail(lineno, "agents line declares no agents")
-            agent_set = frozenset(agents)
             agent_of = {a: a for a in agents}
-            if len(agent_set) != len(agents):
+            if len(agent_of) != len(agents):
                 _fail(lineno, "repeated agent name")
-            continue
 
-        if line.startswith("states:"):
+        elif line.startswith("states:"):
             if states is not None:
                 _fail(lineno, "duplicate states line")
             states = tuple(line[len("states:"):].split())
             if not states:
                 _fail(lineno, "states line declares no states")
-            state_set = frozenset(states)
-            if len(state_set) != len(states):
-                _fail(lineno, "repeated state name")
             state_of = {s: s for s in states}
-            continue
+            if len(state_of) != len(states):
+                _fail(lineno, "repeated state name")
 
-        if agents is None or states is None:
-            _fail(lineno, "agents: and states: must be declared first")
-
-        if line.startswith("go "):
-            m = _GO_RE.match(line)
-            if not m:
-                _fail(lineno, "expected 'go STATE (a1,b1,...) -> STATE'")
-            state, profile_text, target = m.groups()
-            if state not in state_set:
-                _fail(lineno, f"unknown state {state!r}")
-            if target not in state_set:
-                _fail(lineno, f"unknown state {target!r}")
-            profile = tuple(map(str.strip, profile_text.split(",")))
-            if len(profile) != len(agents) or "" in profile:
-                _fail(lineno, f"profile must list one action per agent ({len(agents)} expected)")
-            if (state, profile) in outcome:
-                _fail(lineno, f"duplicate go line for ({','.join(profile)}) at {state}")
-            outcome[(state, profile)] = target
-            continue
-
-        if line.startswith("labels "):
-            head, sep, rest = line[len("labels "):].partition(":")
-            if not sep:
-                _fail(lineno, "labels line needs a ':'")
-            state = head.strip()
-            if state not in state_set:
-                _fail(lineno, f"unknown state {state!r}")
-            if state in labels:
-                _fail(lineno, f"duplicate labels line for {state}")
-            labels[state] = tuple(rest.split())
-            continue
-
-        if line.startswith("actions "):
-            head, sep, rest = line[len("actions "):].partition(":")
-            if not sep:
-                _fail(lineno, "actions line needs a ':'")
-            parts = head.split()
-            if len(parts) != 2:
-                _fail(lineno, "expected 'actions STATE AGENT: ...'")
-            state, agent = parts
-            if state not in state_set:
-                _fail(lineno, f"unknown state {state!r}")
-            if agent not in agent_set:
-                _fail(lineno, f"unknown agent {agent!r}")
-            if (state, agent) in avail:
-                _fail(lineno, f"duplicate actions line for {state} {agent}")
-            acts = tuple(rest.split())
-            if len(set(acts)) != len(acts):
-                _fail(lineno, "repeated action name")
-            avail[(state, agent)] = acts
-            continue
-
-        _fail(lineno, f"unrecognized line {line!r}")
+        elif line:
+            _fail(lineno, _UNDECLARED if agents is None or states is None
+                  else f"unrecognized line {line!r}")
 
     if agents is None or states is None:
         raise ParseError("model text must declare agents: and states:")
@@ -251,6 +209,8 @@ def render_model(model: GameModel) -> str:
 
 def parse_relation(text: str, model: GameModel | None = None) -> frozenset:
     """Parse `s ~ t` lines into a set of ordered state pairs."""
+    if not isinstance(text, str):
+        raise InputError(f"relation text must be a str, not {type(text).__name__}")
     pairs = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()

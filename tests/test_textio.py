@@ -5,7 +5,8 @@ import random
 import pytest
 
 from constr.corpus import FIXTURES, fixture_text
-from constr.model import ParseError, validate_model
+from constr.formula import parse_formula
+from constr.model import InputError, ParseError, validate_model
 from constr.textio import parse_model, parse_relation, render_model, render_relation
 from constr.validity import GeneratorBounds, random_model
 
@@ -122,6 +123,21 @@ def test_relation_error_texts(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("parse", [parse_model, parse_relation, parse_formula])
+@pytest.mark.parametrize("text", [b"agents: a\n", None], ids=["bytes", "None"])
+def test_text_that_is_not_a_str_is_an_input_error(parse, text):
+    with pytest.raises(InputError, match="text must be a str"):
+        parse(text)
+
+
+def test_equal_profiles_and_action_lists_share_one_tuple():
+    m = parse_model(render_model(random_model(GeneratorBounds(3, 20, 2), 5)))
+    profiles = [profile for _, profile in m.outcome]
+    assert len({id(p) for p in profiles}) == len(set(profiles)) == 8
+    acts = list(m.avail.values())
+    assert len({id(a) for a in acts}) == len(set(acts)) == 3
+
+
 def test_large_random_model_round_trip():
     m = random_model(GeneratorBounds(agents=4, states=200, actions=2, atoms=("p", "q")), 7)
     text = render_model(m)
@@ -161,8 +177,8 @@ def test_relation_bad_syntax():
 
 # -- differential test against the line-by-line referees ---------------
 
-# blanks the general branch reads as whitespace: tab, two spaces, and
-# Unicode spaces that str.split() and the go-line pattern's \s both take
+# blanks the parser reads as whitespace: tab, two spaces, and Unicode
+# spaces that str.strip(), str.split() and the go-line pattern's \s all take
 _BLANKS = ("\t", "  ", "\u00a0", "\u2003", "\u3000", "\x1f")
 
 
@@ -195,6 +211,15 @@ _MUTATIONS = (
     lambda line, rng: [line.replace(")", ",a1)")],
     lambda line, rng: [line.replace(",", "", 1)],
     lambda line, rng: [line.replace("(", "((", 1)],
+    # five tokens with `->` fourth that are not `go S (a1,b1,...) -> T`
+    lambda line, rng: [line.replace("(", "x(", 1)],
+    lambda line, rng: [line.replace(",", ",(", 1)],
+    lambda line, rng: [line.replace(" -> ", "->").replace("(", "( ").replace(")", " )")],
+    # a profile read across tokens, then a line whose third token is its first
+    lambda line, rng: [line.replace(",", " -> x,", 1).replace(") -> ", ")->"),
+                       line.partition(",")[0] + " -> s0"],
+    lambda line, rng: [line + rng.choice(_BLANKS)],
+    lambda line, rng: [line, "go" + rng.choice(_BLANKS)],
     lambda line, rng: _swap_token(line, 1, "zz"),
     lambda line, rng: _swap_token(line, 4, rng.choice(("zz", "s0"))),
     lambda line, rng: [line, line],
@@ -204,11 +229,12 @@ _MUTATIONS = (
 
 
 def _variants(text, rng, count):
-    """The text, its go lines moved before every actions line, and
-    `count` copies with one to three lines respelled or corrupted."""
+    """The text, its `\\r\\n` copy, its go lines moved before every actions
+    line, and `count` copies with one to three lines respelled or corrupted."""
     lines = text.splitlines()
     head = [ln for ln in lines if not ln.startswith(("actions ", "go "))]
     yield text
+    yield text.replace("\n", "\r\n")
     yield "\n".join(head + [ln for ln in lines if ln.startswith("go ")]
                     + [ln for ln in lines if ln.startswith("actions ")]) + "\n"
     for _ in range(count):
