@@ -33,7 +33,6 @@ argument.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, or_
@@ -53,8 +52,7 @@ _CL = "cl"  # the coalition-logic clause, as a kind of failing clause
 _EMPTY = frozenset()
 
 
-@dataclass(frozen=True)
-class BisimFailure:
+class BisimFailure(NamedTuple):
     """First violated clause: which pair, which condition, which coalitions."""
 
     pair: tuple[State, State]
@@ -74,8 +72,7 @@ class BisimFailure:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class BisimVerdict:
+class BisimVerdict(NamedTuple):
     ok: bool
     failure: BisimFailure | None = None
 

@@ -7,33 +7,30 @@ the frozen expectations through the checking engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from . import bisim
 from .formula import parse_formula
-from .model import GameModel, validate_model
+from .model import GameModel, _Record, validate_model
 from .semantics import holds
 from .textio import parse_model, parse_relation
 
 
-@dataclass(frozen=True)
-class FormulaCheck:
+class FormulaCheck(NamedTuple):
     state: str
     formula: str
     expected: bool
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     cl_ok: bool
     constr_ok: bool
     failure_pair: tuple[str, str] | None = None
     failing_families: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     note: str
     model_file: str
@@ -162,8 +159,7 @@ def embedded_falsifier() -> GameModel:
 # -- execution ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     fixture: str
     description: str
     passed: bool
@@ -175,9 +171,11 @@ class CheckResult:
         return f"{mark} {self.fixture}: {self.description}{tail}"
 
 
-@dataclass
-class CorpusReport:
-    results: list[CheckResult] = field(default_factory=list)
+class CorpusReport(_Record):
+    _fields = ("results",)
+
+    def __init__(self, results: list[CheckResult] | None = None):
+        self.results = [] if results is None else results
 
     @property
     def ok(self) -> bool:

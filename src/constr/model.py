@@ -26,10 +26,9 @@ profiles of its joint action.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from math import prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Agent = str
 State = str
@@ -45,8 +44,7 @@ class ParseError(InputError):
     """Malformed model, relation or formula text; message carries the position."""
 
 
-@dataclass(frozen=True)
-class JointAction:
+class JointAction(NamedTuple):
     """A choice of one available action per agent of a coalition, at a state.
 
     The empty tuple of moves is the unique joint action of the empty
@@ -76,8 +74,7 @@ class JointAction:
         return f"({inner})@{self.state}"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structural defect found by validate_model."""
 
     kind: str
@@ -98,8 +95,41 @@ class Violation:
         return f"{self.kind}: {self.detail}{loc}"
 
 
-@dataclass(frozen=True, eq=True)
-class GameModel:
+class _Record:
+    """Equality over the fields named in `_fields`, compared as one tuple
+    and only with an instance of the same class, and a repr listing them.
+    Records that change after construction derive from this."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A _Record whose fields, set once through __dict__ by __init__,
+    cannot be assigned or deleted; it hashes its field tuple."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GameModel(_FrozenRecord):
     """A finite concurrent game model.
 
     agents:    canonical agent order; action profiles are tuples in this order
@@ -107,17 +137,22 @@ class GameModel:
     avail:     (state, agent) -> declared actions, non-empty once valid
     outcome:   (state, full profile) -> successor state, total once valid
     valuation: atom -> states where the atom is true
+
+    Derived tables are kept in the instance __dict__ beside the fields.
     """
 
-    agents: tuple[Agent, ...]
-    states: tuple[State, ...]
-    avail: dict[tuple[State, Agent], tuple[Action, ...]]
-    outcome: dict[tuple[State, tuple[Action, ...]], State]
-    valuation: dict[str, frozenset]
+    _fields = ("agents", "states", "avail", "outcome", "valuation")
+
+    def __init__(self, agents: tuple[Agent, ...], states: tuple[State, ...],
+                 avail: dict[tuple[State, Agent], tuple[Action, ...]],
+                 outcome: dict[tuple[State, tuple[Action, ...]], State],
+                 valuation: dict[str, frozenset]):
+        self.__dict__.update(agents=agents, states=states, avail=avail,
+                             outcome=outcome, valuation=valuation)
 
     def __hash__(self) -> int:
-        # the generated hash would hash the dict fields; equal models
-        # agree on these two, so this is consistent with ==
+        # the dict fields are unhashable; equal models agree on these
+        # two, so this is consistent with ==
         return hash((self.agents, self.states))
 
     # -- basic lookups ------------------------------------------------

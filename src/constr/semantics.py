@@ -26,18 +26,17 @@ frozensets of state names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
 from operator import and_, or_
+from typing import NamedTuple
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, Strategic, Top
 from .model import (Coalition, GameModel, InputError, State, _cell_outcomes, _cell_projection,
-                    _positions, per_model)
+                    _positions, _Record, per_model)
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(NamedTuple):
     """A formula together with the set of states where it holds."""
 
     formula: Formula
@@ -109,7 +108,6 @@ class _PreimageGroup:
     a successor's state bit to a packed int whose bit j*stride + i is set
     when profile j leads member i there; stride is m rounded up to whole
     bytes, and `packed_full` has every bit of the n_profiles slices set.
-    (A plain class: a dataclass would cost its generated methods at import.)
     """
 
     __slots__ = ("shape", "m", "stride", "members", "targets", "preimages", "packed_full")
@@ -460,15 +458,18 @@ def holds(model: GameModel, state: State, f: Formula) -> bool:
 # -- witness extraction for the CLI --------------------------------------
 
 
-@dataclass
-class Explanation:
+class Explanation(_Record):
     """Outcome of a check plus witness joint actions for the top operator."""
 
-    value: bool
-    operator: str | None = None
-    negated: bool = False
-    detail: str = ""
-    witnesses: dict = field(default_factory=dict)
+    _fields = ("value", "operator", "negated", "detail", "witnesses")
+
+    def __init__(self, value: bool, operator: str | None = None, negated: bool = False,
+                 detail: str = "", witnesses: dict | None = None):
+        self.value = value
+        self.operator = operator
+        self.negated = negated
+        self.detail = detail
+        self.witnesses = {} if witnesses is None else witnesses
 
     def lines(self) -> list[str]:
         out = []

@@ -193,17 +193,23 @@ def render_model(model: GameModel) -> str:
             acts = model.avail.get((s, a))
             if acts:
                 lines.append(f"actions {s} {a}: " + " ".join(acts))
+    printed = 0
     for s in model.states:
         for profile in model.profiles(s):
             target = model.outcome.get((s, profile))
             if target is not None:
                 lines.append(f"go {s} ({','.join(profile)}) -> {target}")
+                printed += 1
     # keep any outcome entries that sit outside the availability product
-    # (invalid models still round-trip through the formatter)
-    listed = {(s, p) for s in model.states for p in model.profiles(s)}
-    for (s, profile), target in sorted(model.outcome.items()):
-        if (s, profile) not in listed:
-            lines.append(f"go {s} ({','.join(profile)}) -> {target}")
+    # (invalid models still round-trip through the formatter).  With
+    # distinct states and actions every line above is another entry, so
+    # when they are as many as the entries, none is left.
+    if printed < len(model.outcome) or len(model.state_index) < len(model.states) or any(
+            len(set(acts)) < len(acts) for acts in model.avail.values()):
+        listed = {(s, p) for s in model.states for p in model.profiles(s)}
+        for (s, profile), target in sorted(model.outcome.items()):
+            if (s, profile) not in listed:
+                lines.append(f"go {s} ({','.join(profile)}) -> {target}")
     return "\n".join(lines) + "\n"
 
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .formula import And, Atom, Formula, Not, Obeta, Oalpha, Oc, TOP, bottom, iff, implies
-from .model import GameModel, InputError, State, coalitions, one_agent_supersets
+from .model import (GameModel, InputError, State, _FrozenRecord, _Record, coalitions,
+                    one_agent_supersets)
 from .semantics import extension_bits, holds, operator_evaluator
 # perfbench/tracing.py wraps this binding; nothing here calls it
 from .semantics import strategic_holds_at  # noqa: F401
@@ -39,17 +39,15 @@ from .semantics import strategic_holds_at  # noqa: F401
 _EMPTY = frozenset()
 
 
-@dataclass(frozen=True)
-class GeneratorBounds:
+class GeneratorBounds(_FrozenRecord):
     """Exact shape of a generated family: every agent has exactly
     `actions` actions at every state."""
 
-    agents: int
-    states: int
-    actions: int
-    atoms: tuple[str, ...] = ("p", "q")
+    _fields = ("agents", "states", "actions", "atoms")
 
-    def __post_init__(self):
+    def __init__(self, agents: int, states: int, actions: int,
+                 atoms: tuple[str, ...] = ("p", "q")):
+        self.__dict__.update(agents=agents, states=states, actions=actions, atoms=atoms)
         for name in ("agents", "states", "actions"):
             value = getattr(self, name)
             # a bool is an int to Python, and a float would fail deep inside
@@ -67,11 +65,13 @@ class GeneratorBounds:
 
 
 @lru_cache(maxsize=None)
-def _skeleton(bounds: GeneratorBounds):
-    agents = tuple("abcdefgh"[: bounds.agents])
-    states = tuple(f"s{i}" for i in range(bounds.states))
+def _skeleton(n_agents: int, n_states: int, n_actions: int):
+    # keyed by the counts it reads, not by a GeneratorBounds, which every
+    # random draw builds afresh and which hashes and compares in Python
+    agents = tuple("abcdefgh"[:n_agents])
+    states = tuple(f"s{i}" for i in range(n_states))
     avail = {
-        (s, a): tuple(f"{a}{i + 1}" for i in range(bounds.actions))
+        (s, a): tuple(f"{a}{i + 1}" for i in range(n_actions))
         for s in states for a in agents
     }
     profiles = tuple(itertools.product(*(avail[(states[0], a)] for a in agents)))
@@ -83,7 +83,7 @@ def _in_family(model: GameModel, bounds: GeneratorBounds) -> bool:
     """Whether `enumerate_models(bounds)` yields a model with the same
     sweep inputs: the same agents, states and actions, and atoms only
     among the bounds' atoms."""
-    agents, states, avail, _ = _skeleton(bounds)
+    agents, states, avail, _ = _skeleton(bounds.agents, bounds.states, bounds.actions)
     return (model.agents == agents and model.states == states and model.avail == avail
             and model.valuation.keys() <= set(bounds.atoms))
 
@@ -114,7 +114,7 @@ def enumerate_models(bounds: GeneratorBounds, cap: int = 10 ** 6) -> Iterator[Ga
     if count > cap:
         raise InputError(
             f"family of {count} models exceeds the cap of {cap}; tighten the bounds")
-    agents, states, avail, slots = _skeleton(bounds)
+    agents, states, avail, slots = _skeleton(bounds.agents, bounds.states, bounds.actions)
     label_slots = [(atom, s) for atom in bounds.atoms for s in states]
     for targets in itertools.product(range(bounds.states), repeat=len(slots)):
         outcome = {slot: states[t] for slot, t in zip(slots, targets)}
@@ -134,7 +134,7 @@ def random_model(bounds: GeneratorBounds, seed: int) -> GameModel:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InputError(f"seed must be an integer, not {seed!r}")
     rng = random.Random(seed)
-    agents, states, avail, slots = _skeleton(bounds)
+    agents, states, avail, slots = _skeleton(bounds.agents, bounds.states, bounds.actions)
     outcome = {slot: states[rng.randrange(bounds.states)] for slot in slots}
     valuation = {}
     for atom in bounds.atoms:
@@ -147,8 +147,7 @@ def random_model(bounds: GeneratorBounds, seed: int) -> GameModel:
 # -- scheme registry ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(NamedTuple):
     """One axiom scheme or inference rule.
 
     `sweep` hunts one model for a violating instantiation and returns
@@ -361,16 +360,14 @@ EXPECTED_INVALID_TAGS = tuple(tag for tag, s in SCHEMES.items() if not s.expecte
 # -- instance sweeps ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     model: GameModel
     state: State
     instance: str
     formula: Formula
 
 
-@dataclass(frozen=True)
-class SchemeVerdict:
+class SchemeVerdict(NamedTuple):
     tag: str
     models_tried: int
     counterexample: Counterexample | None = None
@@ -567,18 +564,23 @@ DEFAULT_EXHAUSTIVE = tuple(
 )
 
 
-@dataclass
-class SuiteConfig:
-    exhaustive: tuple[GeneratorBounds, ...] = DEFAULT_EXHAUSTIVE
-    random_models: int = 2000
-    seed: int = 0
-    seeds: tuple[int, ...] | None = None  # explicit seed list wins over random_models
-    include: tuple[str, ...] | None = None
-    exclude: tuple[str, ...] = ()
-    budget: int = 2000
-    stress: bool = False
+class SuiteConfig(_Record):
+    _fields = ("exhaustive", "random_models", "seed", "seeds", "include", "exclude",
+               "budget", "stress")
 
-    def __post_init__(self):
+    def __init__(self, exhaustive: tuple[GeneratorBounds, ...] = DEFAULT_EXHAUSTIVE,
+                 random_models: int = 2000, seed: int = 0,
+                 seeds: tuple[int, ...] | None = None,  # explicit seed list wins over random_models
+                 include: tuple[str, ...] | None = None, exclude: tuple[str, ...] = (),
+                 budget: int = 2000, stress: bool = False):
+        self.exhaustive = exhaustive
+        self.random_models = random_models
+        self.seed = seed
+        self.seeds = seeds
+        self.include = include
+        self.exclude = exclude
+        self.budget = budget
+        self.stress = stress
         # a string would be read one letter at a time, and an iterator
         # would be spent by these checks before the sweep reads it
         fields = [("exhaustive", self.exhaustive), ("include", self.include),
@@ -610,8 +612,7 @@ class SuiteConfig:
                                  f"exhaustive bounds may label only {sorted(read)}")
 
 
-@dataclass
-class SchemeOutcome:
+class SchemeOutcome(NamedTuple):
     tag: str
     expected_valid: bool
     verdict: SchemeVerdict
@@ -635,9 +636,11 @@ class SchemeOutcome:
         return f"{status} {self.tag}: {note} ({self.verdict.models_tried} models)"
 
 
-@dataclass
-class SuiteReport:
-    outcomes: list[SchemeOutcome] = field(default_factory=list)
+class SuiteReport(_Record):
+    _fields = ("outcomes",)
+
+    def __init__(self, outcomes: list[SchemeOutcome] | None = None):
+        self.outcomes = [] if outcomes is None else outcomes
 
     @property
     def ok(self) -> bool:

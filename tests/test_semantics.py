@@ -6,7 +6,6 @@ import gc
 import itertools
 import random
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -46,6 +45,11 @@ from oracles import (
 )
 
 p, q = Atom("p"), Atom("q")
+
+
+def _copy(m):
+    # a new model object, with none of the derived state of `m`
+    return GameModel(m.agents, m.states, m.avail, m.outcome, m.valuation)
 
 
 def test_example_fixture_verdicts():
@@ -380,7 +384,7 @@ def test_overlapping_call_after_its_disjoint_one():
                     (cond_bits, cond), (goal_bits, goal) = rng.choice(sets), rng.choice(sets)
                     disjoint = O(op, a, b - a, cond_bits, goal_bits)
                     got = O(op, a, b, cond_bits, goal_bits)
-                    copy = replace(m)  # with an evaluator of its own
+                    copy = _copy(m)  # with an evaluator of its own
                     fresh = operator_evaluator(copy)(op, a, b, cond_bits, goal_bits)
                     want = m.bits_of(brute_operator_states(m, op, a, b, cond, goal))
                     assert got == fresh == want, (m.states, m.avail, op.token, a, b, cond, goal)
@@ -389,7 +393,7 @@ def test_overlapping_call_after_its_disjoint_one():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: replace(fixture_model("ex1")),
+    lambda: _copy(fixture_model("ex1")),
     lambda: random_model(GeneratorBounds(2, INDEX_CUTOFF_STATES + 5, 2), 3),
 ], ids=["kernel", "index"])
 def test_evaluator_outlives_its_model(build):
@@ -434,7 +438,7 @@ def test_index_path_agrees_with_kernel_and_brute_force(monkeypatch):
     for m in models:
         assert len(m.states) > INDEX_CUTOFF_STATES
         O = operator_evaluator(m)
-        copy = replace(m)
+        copy = _copy(m)
         with monkeypatch.context() as patch:
             patch.setattr(semantics, "INDEX_CUTOFF_STATES", len(m.states))
             K = operator_evaluator(copy)

@@ -6,7 +6,7 @@ import pytest
 
 from constr.corpus import FIXTURES, fixture_text
 from constr.formula import parse_formula
-from constr.model import InputError, ParseError, validate_model
+from constr.model import GameModel, InputError, ParseError, validate_model
 from constr.textio import parse_model, parse_relation, render_model, render_relation
 from constr.validity import GeneratorBounds, random_model
 
@@ -34,6 +34,27 @@ def test_render_is_idempotent():
     text = fixture_text("exA.cgm")
     once = render_model(parse_model(text))
     assert render_model(parse_model(once)) == once
+
+
+def test_render_keeps_every_entry_of_an_invalid_model():
+    # as many product lines as entries, but repeated states or actions
+    # print some entries twice: the entries off the product still follow
+    repeated_states = GameModel(
+        ("a",), ("s0", "s1", "s0", "s0"), {("s0", "a"): ("a1",), ("s1", "a"): ("a1", "a2")},
+        {("s0", ("a1",)): "s1", ("s1", ("a1",)): "s0", ("zz", ("a1",)): "s0",
+         ("s1", ("a3",)): "s1"},
+        {"p": frozenset({"s1"})})
+    assert render_model(repeated_states) == (
+        "agents: a\nstates: s0 s1 s0 s0\nlabels s1: p\nactions s0 a: a1\n"
+        "actions s1 a: a1 a2\nactions s0 a: a1\nactions s0 a: a1\ngo s0 (a1) -> s1\n"
+        "go s1 (a1) -> s0\ngo s0 (a1) -> s1\ngo s0 (a1) -> s1\ngo s1 (a3) -> s1\n"
+        "go zz (a1) -> s0\n")
+    repeated_actions = GameModel(
+        ("a", "b"), ("s0",), {("s0", "a"): ("a1", "a1"), ("s0", "b"): ("b1",)},
+        {("s0", ("a1", "b1")): "s0", ("s0", ("a2", "b1")): "s0"}, {})
+    assert render_model(repeated_actions) == (
+        "agents: a b\nstates: s0\nactions s0 a: a1 a1\nactions s0 b: b1\n"
+        "go s0 (a1,b1) -> s0\ngo s0 (a1,b1) -> s0\ngo s0 (a2,b1) -> s0\n")
 
 
 def test_comments_and_blanks_ignored():

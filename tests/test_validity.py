@@ -7,14 +7,13 @@ import itertools
 import random
 import re
 import weakref
-from dataclasses import replace
 
 import pytest
 
 from constr import semantics, validity
 from constr.corpus import embedded_falsifier
 from constr.formula import Oalpha, Obeta, Oc, implies, parse_formula
-from constr.model import InputError, coalitions, validate_model
+from constr.model import GameModel, InputError, coalitions, validate_model
 from constr.semantics import extension_bits, holds, operator_evaluator
 from constr.textio import render_model
 from constr.validity import (
@@ -81,6 +80,14 @@ REGISTRY = (
     ("RuleObMon", "rule", True, "reactive ability: anti-monotone condition, monotone goal"),
     ("RuleOaMon", "rule", True, "proactive ability: anti-monotone condition, monotone goal"),
 )
+
+
+def _rebuilt(model, **changes):
+    # a new model object with the given fields changed, with none of the
+    # derived state of `model`
+    fields = {"agents": model.agents, "states": model.states, "avail": model.avail,
+              "outcome": model.outcome, "valuation": model.valuation}
+    return GameModel(**{**fields, **changes})
 
 
 def test_registry_matches_frozen_tag_list():
@@ -320,14 +327,14 @@ def _counted(scheme, calls):
     def sweep(O, coalitions, *bits):
         calls.append(bits[:-1])
         return scheme.sweep(O, coalitions, *bits)
-    return replace(scheme, sweep=sweep)
+    return scheme._replace(sweep=sweep)
 
 
 def test_passed_instances_are_not_swept_again_on_the_same_structure():
     # p and q swapped: the sixteen rule instances over {p, q} have the
     # same argument sets on both labelings
     base = random_model(GeneratorBounds(2, 2, 2), 1)
-    swapped = [replace(base, valuation={"p": frozenset({s}), "q": frozenset({t})})
+    swapped = [_rebuilt(base, valuation={"p": frozenset({s}), "q": frozenset({t})})
                for s, t in (("s0", "s1"), ("s1", "s0"))]
     substitutions = validity._read_substitutions({"rule": rule_substitutions()})
     for tag in ("RuleOcMon", "RuleObMon", "RuleOaMon"):
@@ -342,7 +349,7 @@ def test_passed_instances_are_not_swept_again_on_the_same_structure():
         assert validity._scheme_counterexample(scheme, second) is None
         assert calls == listed
         for m in swapped:
-            fresh = validity._ModelSweep(replace(m), substitutions)
+            fresh = validity._ModelSweep(_rebuilt(m), substitutions)
             assert validity._scheme_counterexample(SCHEMES[tag], fresh) is None
         calls.clear()
         assert not check_scheme(scheme, swapped).found
@@ -359,8 +366,8 @@ def test_a_failing_instance_is_swept_again():
     substitutions = validity._read_substitutions({"axiom": axiom_substitutions()})
     first = validity._ModelSweep(m, substitutions)
     found = validity._scheme_counterexample(scheme, first)
-    again = validity._scheme_counterexample(scheme, validity._ModelSweep(replace(m),
-                                                                         substitutions, first))
+    again = validity._scheme_counterexample(scheme, validity._ModelSweep(_rebuilt(m),
+                                                                          substitutions, first))
     assert (found.state, found.instance) == (again.state, again.instance)
     assert len(calls) == 2 and not first.passed[scheme.sweep]
 
@@ -439,8 +446,8 @@ def test_each_model_is_freed_once_swept(family):
 def _relabeled(model, k):
     # the same transition structure, with p on the first k states and q
     # on the rest
-    return replace(model, valuation={"p": frozenset(model.states[:k]),
-                                     "q": frozenset(model.states[k:])})
+    return _rebuilt(model, valuation={"p": frozenset(model.states[:k]),
+                                      "q": frozenset(model.states[k:])})
 
 
 def _mixed_stream():
@@ -471,7 +478,7 @@ def test_shared_sweeps_answer_as_fresh_ones(stream):
         sweep = validity._ModelSweep(m, substitutions, sweep)
         shared += previous is not None and sweep.O is previous.O
         # a copy of the model has none of its evaluator state
-        fresh = validity._ModelSweep(replace(m), substitutions)
+        fresh = validity._ModelSweep(_rebuilt(m), substitutions)
         for tag, scheme in SCHEMES.items():
             validity._scheme_counterexample(scheme, sweep)
             if tag not in first_hits:
@@ -708,7 +715,7 @@ def _renamed_actions(model):
     avail = {key: tuple("x" + act for act in acts) for key, acts in model.avail.items()}
     outcome = {(s, tuple("x" + act for act in profile)): t
                for (s, profile), t in model.outcome.items()}
-    return replace(model, avail=avail, outcome=outcome)
+    return _rebuilt(model, avail=avail, outcome=outcome)
 
 
 def test_repeats_before_the_first_violation_leave_the_verdict_unchanged(monkeypatch):
@@ -717,7 +724,7 @@ def test_repeats_before_the_first_violation_leave_the_verdict_unchanged(monkeypa
                     lambda A, B, C, p, q: implies(Oc(A | C, B, p, q), Oc(A, B, p, q)))
     draws = _stream((2, 2, 2), 0, 4)  # only the first violates the scheme
     head = list(enumerate_models(GeneratorBounds(2, 1, 2))) + draws[1:]
-    repeats = [head[5], replace(head[4]), _renamed_actions(head[6]), head[0],
+    repeats = [head[5], _rebuilt(head[4]), _renamed_actions(head[6]), head[0],
                _relabeled(head[1], 1), head[4]]
     models = head + repeats + [draws[0], draws[0]]
 
